@@ -174,8 +174,7 @@ def _cmd_attack(args) -> int:
         source.with_name(source.stem + ".attacked.json")
     )
     save_graph(attacked, out_path)
-    if len(edits) <= graph.n_star:
-        print(f"distance {graph_distance(graph, attacked)}")
+    print(f"distance {graph_distance(graph, attacked)}")
     return EXIT_OK
 
 

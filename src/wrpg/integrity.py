@@ -1,15 +1,16 @@
 """Attack application and validity classification of watermark graphs.
 
-An attacked graph is classified by attempting the full decode pipeline
-and re-encoding the result; the outcome is reported per structural
-check so callers can see exactly which properties an edit destroyed.
+An attacked graph is valid exactly when the decode pipeline succeeds on
+it (decoding re-encodes and compares), so ``classify_graph`` and the
+decoder cannot disagree.  When decoding fails, the named structural
+checks run to explain which properties an edit destroyed.
 ``classify_graph`` never raises: attack analysis wants total functions
 with rich reports.
 """
 
 from dataclasses import dataclass
 
-from .errors import NotAWatermark, SipInvariantError, UnsupportedAttack
+from .errors import FalseIncorrectGraph, NotAWatermark, SipInvariantError, UnsupportedAttack
 from .rpg import ReduciblePermutationGraph, dmax_map, reconstruct_permutation
 from .sip import SelfInvertingPermutation, decode_sip_to_w, template_failures
 
@@ -94,10 +95,13 @@ class ValidityReport:
 
 
 def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
-    """Run every validity check and report Valid(w) or false-incorrect.
+    """Report Valid(w) or false-incorrect, with per-check explanations.
 
-    A graph is valid exactly when the decode pipeline succeeds and
-    re-encoding the extracted watermark reproduces the graph.  Note that
+    The verdict is the decode pipeline itself: rebuild the permutation
+    from the back edges, require its domination map to reproduce them,
+    and decode it to a watermark (which re-encodes and compares).  When
+    that succeeds every check passes.  Otherwise the named checks run
+    only to explain which properties the graph lacks.  Note that
     "true-incorrect" is a relation to an original watermark: a tampered
     graph that classifies ``Valid(w')`` is true-incorrect relative to
     the watermark ``w != w'`` it was built from.
@@ -109,18 +113,23 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
     odd_ok = m % 2 == 1 and m >= 5
     if not odd_ok:
         reasons.append(f"interior node count must be odd and >= 5, got {m}")
-    structural = all(i < t <= m + 1 for i, t in enumerate(g.back_edges, 1))
-    if not structural:
+    try:
+        seq = reconstruct_permutation(g)
+    except FalseIncorrectGraph:
+        checks["range_odd_length"] = False
         reasons.append("every back edge must target a strictly larger node")
-    checks["range_odd_length"] = odd_ok and structural
-    if not structural:
         reasons.append("decoding skipped: the back edges do not form a forest")
         return ValidityReport(checks, None, tuple(reasons))
-
-    seq = reconstruct_permutation(g)
+    checks["range_odd_length"] = odd_ok
     if dmax_map(seq) != g.back_edges:
         reasons.append("back edges do not describe any permutation")
         return ValidityReport(checks, None, tuple(reasons))
+    try:
+        w = decode_sip_to_w(SelfInvertingPermutation(seq))
+    except (SipInvariantError, NotAWatermark) as exc:
+        decode_error = str(exc)
+    else:
+        return ValidityReport(dict.fromkeys(CHECK_NAMES, True), w, ())
 
     inv_ok = all(seq[val - 1] == pos for pos, val in enumerate(seq, 1))
     checks["involution"] = inv_ok
@@ -141,19 +150,11 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
         checks["bitonic_pi2"] = "pi2_bitonic" not in clauses
     reasons.extend(message for _, message in failures)
 
-    w: int | None = None
     if inv_ok and fixed == 1 and odd_ok:
-        try:
-            w = decode_sip_to_w(SelfInvertingPermutation(seq))
-            checks["roundtrip"] = True
-        except (SipInvariantError, NotAWatermark) as exc:
-            checks["roundtrip"] = False
-            reasons.append(str(exc))
+        checks["roundtrip"] = False
+        reasons.append(decode_error)
     else:
         reasons.append("decoding skipped: permutation checks failed")
-
-    if all(checks[name] is True for name in CHECK_NAMES):
-        return ValidityReport(checks, w, ())
     return ValidityReport(checks, None, tuple(reasons))
 
 

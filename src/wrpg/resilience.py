@@ -142,13 +142,15 @@ def _require_within_cap(n: int, cap: int) -> None:
 
 
 def encoded_distance(w1: int, w2: int) -> int:
-    """Graph distance between two same-length watermarks' codewords."""
+    """Graph distance between two same-length watermarks' codewords.
+
+    Encodes just the two watermarks, so it costs O(n) at any bit-length.
+    """
     n = require_watermark(w1)
     if require_watermark(w2) != n:
         raise WatermarkDomainError(f"{w1} and {w2} differ in bit-length")
-    rows = _encoded_range(n)
-    lo = 1 << (n - 1)
-    return int((rows[w1 - lo] != rows[w2 - lo]).sum())
+    e1, e2 = (dmax_map(encode_w_to_sip(w)[0].elements) for w in (w1, w2))
+    return sum(a != b for a, b in zip(e1, e2))
 
 
 def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
@@ -317,14 +319,16 @@ def verify_theorem(
     summaries: list[RangeSummary] = []
     mismatches: list[ResilienceReport] = []
     for n in range(n_min, n_max + 1):
-        reports = [analyze_watermark(w, cap=cap) for w in range(1 << (n - 1), 1 << n)]
+        lo = 1 << (n - 1)
+        reports = [analyze_watermark(w, cap=cap) for w in range(lo, 1 << n)]
+        rows = _encoded_range(n)
         for report in reports:
             for neighbor, cost, rule in proof_neighbors(report.w):
                 if neighbor.bit_length() != n or neighbor == report.w:
                     raise RuntimeError(
                         f"witness {neighbor} of w={report.w} ({rule}) leaves the bit-length range"
                     )
-                measured = encoded_distance(report.w, neighbor)
+                measured = int((rows[report.w - lo] != rows[neighbor - lo]).sum())
                 if measured != cost:
                     raise RuntimeError(
                         f"witness {neighbor} of w={report.w} ({rule}) predicted cost "

@@ -14,6 +14,10 @@ larger element), and because the children of any parent occur in
 ascending order left-to-right in the source permutation, a preorder
 walk that visits children in ascending numeric order rebuilds the
 one-line form exactly.
+
+Because the spine is the only way down, a graph is reducible (every
+back-edge target dominates its source) exactly when no back edge points
+below its source; :func:`check_reducibility` checks that in one scan.
 """
 
 import json
@@ -170,36 +174,21 @@ class ReducibilityReport:
 def check_reducibility(g: ReduciblePermutationGraph) -> ReducibilityReport:
     """Verify that every back-edge target dominates its source.
 
-    Dominators are computed from the header over the full edge set
-    (spine plus back edges) by iterative dataflow; the graphs are tiny,
-    so bitmask sets suffice.
+    The forward spine is the only edge that leads down, so the rule is
+    linear: the graph is reducible exactly when every target is a node
+    and no back edge points below its source.  With no downward edge,
+    every path from the header to ``u_i`` walks the spine through all of
+    ``s, u_{n*}, .., u_i``, so each of them dominates ``u_i``; a target
+    ``t < i`` never dominates ``i``, because the spine reaches ``i``
+    without passing ``t``.  The report names the first target that is
+    not a node, or else the first downward edge (lowest source).
     """
-    m = g.n_star
-    header = m + 1
+    header = g.n_star + 1
     for i, t in enumerate(g.back_edges, 1):
         if not 0 <= t <= header:
             return ReducibilityReport(False, (i, t), f"target {t} is not a node")
-    preds: list[list[int]] = [[] for _ in range(m + 2)]
-    for i in range(1, header + 1):
-        preds[i - 1].append(i)  # spine u_i -> u_{i-1}
     for i, t in enumerate(g.back_edges, 1):
-        preds[t].append(i)
-    full = (1 << (m + 2)) - 1
-    dom = [full] * (m + 2)
-    dom[header] = 1 << header
-    changed = True
-    while changed:
-        changed = False
-        for v in range(m, -1, -1):
-            acc = full
-            for p in preds[v]:
-                acc &= dom[p]
-            acc |= 1 << v
-            if acc != dom[v]:
-                dom[v] = acc
-                changed = True
-    for i, t in enumerate(g.back_edges, 1):
-        if not (dom[i] >> t) & 1:
+        if t < i:
             return ReducibilityReport(False, (i, t), f"node {t} does not dominate node {i}")
     return ReducibilityReport(True, None, "every back edge targets a dominator")
 

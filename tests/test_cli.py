@@ -83,6 +83,14 @@ def test_attack_with_no_edits_copies_the_graph(workdir, capsys):
     assert (workdir / "f12.attacked.json").read_text() == ENCODED_12
 
 
+def test_attack_prints_the_distance_for_more_edits_than_nodes(workdir, capsys):
+    main(["encode", "12"])
+    capsys.readouterr()
+    edits = "3:5,3:6,3:7,3:8,3:9,3:10,3:4,3:3,3:2,3:8"  # ten edits, nine nodes
+    assert main(["attack", "f12.json", "--edits", edits]) == 0
+    assert capsys.readouterr().out == "distance 1\n"
+
+
 def test_attack_rejects_out_of_range_source(workdir, capsys):
     main(["encode", "12"])
     assert main(["attack", "f12.json", "--edits", "10:11"]) == 3

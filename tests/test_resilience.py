@@ -1,5 +1,6 @@
 import pytest
 
+import wrpg.resilience as resilience
 from wrpg.errors import (
     OutOfTheoremRange,
     ResourceBoundError,
@@ -91,6 +92,17 @@ def test_oracle_matches_pairwise_graph_distance_at_n4():
         assert nearest == tuple(sorted(o for o, d in plain.items() if d == best))
         for other in plain:
             assert encoded_distance(w, other) == plain[other]
+
+
+def test_encoded_distance_builds_no_table_at_large_bit_lengths(monkeypatch):
+    def no_table(n):
+        raise AssertionError(f"built the {n}-bit table")
+
+    monkeypatch.setattr(resilience, "_encoded_range", no_table)
+    # two internal zeros: the swap of the two largest elements costs 3
+    assert encoded_distance(1 << 40, (1 << 40) + 1) == 3
+    with pytest.raises(WatermarkDomainError):
+        encoded_distance(1 << 40, 1 << 41)
 
 
 def test_oracle_enforces_the_enumeration_cap():

@@ -122,6 +122,10 @@ def test_reducibility_trivial_and_tampered_graphs():
     assert report.offending_edge == (2, 1)
     report = check_reducibility(ReduciblePermutationGraph((3, 99, 4)))
     assert not report.passed
+    # an out-of-range target is reported before an earlier downward edge
+    report = check_reducibility(ReduciblePermutationGraph((0, 3, 9)))
+    assert report.offending_edge == (3, 9)
+    assert report.detail == "target 9 is not a node"
 
 
 def test_json_roundtrip_and_canonical_bytes():
