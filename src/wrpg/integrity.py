@@ -11,7 +11,7 @@ with rich reports.
 from dataclasses import dataclass
 
 from .errors import FalseIncorrectGraph, NotAWatermark, SipInvariantError, UnsupportedAttack
-from .rpg import ReduciblePermutationGraph, dmax_map, reconstruct_permutation
+from .rpg import ReduciblePermutationGraph, reconstruct_permutation
 from .sip import SelfInvertingPermutation, decode_sip_to_w, template_failures
 
 CHECK_NAMES = (
@@ -98,10 +98,11 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
     """Report Valid(w) or false-incorrect, with per-check explanations.
 
     The verdict is the decode pipeline itself: rebuild the permutation
-    from the back edges, require its domination map to reproduce them,
-    and decode it to a watermark (which re-encodes and compares).  When
-    that succeeds every check passes.  Otherwise the named checks run
-    only to explain which properties the graph lacks.  Note that
+    from the back edges (whose domination map then reproduces them, see
+    :func:`reconstruct_permutation`) and decode it to a watermark (which
+    re-encodes and compares).  When that succeeds every check passes.
+    Otherwise the named checks run only to explain which properties the
+    graph lacks.  Note that
     "true-incorrect" is a relation to an original watermark: a tampered
     graph that classifies ``Valid(w')`` is true-incorrect relative to
     the watermark ``w != w'`` it was built from.
@@ -121,9 +122,6 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
         reasons.append("decoding skipped: the back edges do not form a forest")
         return ValidityReport(checks, None, tuple(reasons))
     checks["range_odd_length"] = odd_ok
-    if dmax_map(seq) != g.back_edges:
-        reasons.append("back edges do not describe any permutation")
-        return ValidityReport(checks, None, tuple(reasons))
     try:
         w = decode_sip_to_w(SelfInvertingPermutation(seq))
     except (SipInvariantError, NotAWatermark) as exc:

@@ -11,12 +11,19 @@ bit-lengths are unreachable).  Three routes to it live here:
 * constructive rewrites (``proof_neighbors``) with predicted costs,
   each an explicit witness for the closed-form upper bound.
 
+``verify_theorem`` and ``survey_range`` need the oracle for every
+watermark of a bit-length at once; they get it from one exact join per
+bit-length (:func:`_minima_by_row`) instead of one full row scan per
+watermark.  ``minvm_oracle`` stays the brute-force single-row scan and
+is the test reference for the join.
+
 The closed form is only defined for bit-length >= 4: hand checks show
 bit-length 3 admits a distance-3 pair that the shape rules would price
 at 4, and bit-length 2 admits distance 2.  The oracle stays available
 there so the deviation can be measured rather than hidden.
 """
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,15 +124,31 @@ def proof_neighbors(w: int) -> list[tuple[int, int, str]]:
     return out
 
 
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 @lru_cache(maxsize=None)
 def _encoded_range(n: int) -> np.ndarray:
     """Back-edge rows for every watermark of bit-length ``n``, ascending.
 
     Row ``w - 2^(n-1)`` holds the domination map of ``w``'s codeword.
+    Raises :class:`ResourceBoundError` before allocating when the table
+    would not fit in physical memory.
     """
     lo, hi = 1 << (n - 1), 1 << n
     width = 2 * n + 1
-    dtype = np.uint8 if width + 1 < 256 else np.int32
+    dtype = np.dtype(np.uint8 if width + 1 < 256 else np.int32)
+    table_bytes = (hi - lo) * width * dtype.itemsize
+    physical = _physical_memory_bytes()
+    if physical is not None and table_bytes > physical:
+        raise ResourceBoundError(
+            f"the {n}-bit table needs {table_bytes} bytes, more than the "
+            f"{physical} bytes of physical memory"
+        )
     rows = np.empty((hi - lo, width), dtype=dtype)
     for idx, w in enumerate(range(lo, hi)):
         permutation, _ = encode_w_to_sip(w)
@@ -153,18 +176,130 @@ def encoded_distance(w1: int, w2: int) -> int:
     return sum(a != b for a, b in zip(e1, e2))
 
 
+def _scan_row(rows: np.ndarray, idx: int, lo: int) -> tuple[int, tuple[int, ...]]:
+    """Minimum distance from row ``idx`` to every other row, with the
+    ascending watermarks (row + ``lo``) that attain it."""
+    diffs = (rows != rows[idx]).sum(axis=1)
+    diffs[idx] = rows.shape[1] + 1  # never pick the row itself
+    best = int(diffs.min())
+    return best, tuple(int(lo + i) for i in np.flatnonzero(diffs == best))
+
+
 def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
     """Brute-force minimum distance from ``w`` to any other same-length
     watermark, with the full ascending list of minimizers."""
     n = require_watermark(w)
     _require_within_cap(n, cap)
-    rows = _encoded_range(n)
     lo = 1 << (n - 1)
-    diffs = (rows != rows[w - lo]).sum(axis=1)
-    diffs[w - lo] = rows.shape[1] + 1  # never pick w itself
-    best = int(diffs.min())
-    nearest = tuple(int(lo + idx) for idx in np.flatnonzero(diffs == best))
-    return best, nearest
+    return _scan_row(_encoded_range(n), w - lo, lo)
+
+
+# Every watermark with two or more internal zeros has its nearest set
+# at distance 3, so a join within radius 3 settles all but the 2n-2
+# others, which get a full row scan.
+_JOIN_RADIUS = 3
+_JOIN_CHUNK = 1 << 14  # candidate pairs verified at once
+
+
+def _column_groups(rows: np.ndarray, count: int) -> list[list[int]]:
+    """Split the columns into ``count`` disjoint groups of balanced
+    entropy: highest-entropy column first, each to the lightest group."""
+    entropy = []
+    for column in rows.T:
+        p = np.bincount(column) / len(column)
+        p = p[p > 0]
+        entropy.append(float(-(p * np.log2(p)).sum()))
+    groups: list[list[int]] = [[] for _ in range(count)]
+    totals = [0.0] * count
+    for c in sorted(range(len(entropy)), key=lambda c: -entropy[c]):
+        g = totals.index(min(totals))
+        groups[g].append(c)
+        totals[g] += entropy[c]
+    return groups
+
+
+def _group_key(rows: np.ndarray, columns: list[int]) -> np.ndarray:
+    """Dense id of each row's values on ``columns``: equal ids, equal values."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    base = int(rows.max()) + 1
+    for c in columns:
+        _, key = np.unique(key * base + rows[:, c], return_inverse=True)
+    return key.astype(np.int32)
+
+
+@dataclass(frozen=True)
+class _LengthMinima:
+    """``(minVM, nearest)`` of every row of one bit-length's table, with
+    the join's work: pairs whose distance it computed, and rows that
+    had no neighbour within the radius and were scanned in full."""
+
+    minima: tuple[tuple[int, tuple[int, ...]], ...]
+    pairs_verified: int
+    full_scans: int
+
+
+def _minima_by_row(n: int) -> _LengthMinima:
+    """Exact ``minvm_oracle`` of every watermark of bit-length ``n``.
+
+    A pigeonhole (multi-index) join: with the columns split into
+    ``_JOIN_RADIUS + 1`` disjoint groups, two rows within distance
+    ``_JOIN_RADIUS`` agree exactly on at least one group.  So comparing
+    only rows that share a key in some group finds every pair within
+    the radius, hence every row's whole nearest set when its minimum
+    lies within it.  A pair is verified only in the first group it
+    shares, in chunks of ``_JOIN_CHUNK``, and only pairs within the
+    radius are kept.  Rows with no neighbour within the radius get
+    :func:`_scan_row`.
+    """
+    rows = _encoded_range(n)
+    lo, count = 1 << (n - 1), len(rows)
+    groups = _column_groups(rows, _JOIN_RADIUS + 1)
+    keys = np.stack([_group_key(rows, columns) for columns in groups])
+    kept_a, kept_b = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    kept_d = [np.empty(0, np.uint8)]
+    verified = 0
+    for g in range(len(groups)):
+        order = np.argsort(keys[g], kind="stable").astype(np.int32)
+        sorted_key = keys[g][order]
+        # Sorted position p pairs with positions p+1 .. end of its bucket;
+        # pair number f of the group is (p, p + 1 + f - before[p]).
+        starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+        ends = np.repeat(np.r_[starts[1:], count], np.diff(np.r_[starts, count]))
+        through = np.cumsum(ends - np.arange(count) - 1)
+        before, total = np.r_[0, through[:-1]], int(through[-1])
+        for first in range(0, total, _JOIN_CHUNK):
+            flat = np.arange(first, min(first + _JOIN_CHUNK, total))
+            p = np.searchsorted(through, flat, side="right")
+            a, b = order[p], order[p + 1 + flat - before[p]]
+            if g:
+                fresh = (keys[:g, a] != keys[:g, b]).all(axis=0)
+                a, b = a[fresh], b[fresh]
+            verified += len(a)
+            d = np.count_nonzero(rows[a] != rows[b], axis=1)
+            near = d <= _JOIN_RADIUS
+            kept_a.append(a[near])
+            kept_b.append(b[near])
+            kept_d.append(d[near].astype(np.uint8))
+    a = np.concatenate(kept_a + kept_b)
+    b = np.concatenate(kept_b + kept_a)
+    d = np.concatenate(kept_d + kept_d)
+    by_row = np.lexsort((b, a))
+    a, b, d = a[by_row], b[by_row], d[by_row]
+    best = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
+    np.minimum.at(best, a, d)
+    minimal = d == best[a]
+    a, nearest = a[minimal], (b[minimal].astype(np.int64) + lo).tolist()
+    bounds = np.searchsorted(a, np.arange(count + 1)).tolist()
+    minima = []
+    full_scans = 0
+    for idx in range(count):
+        start, stop = bounds[idx], bounds[idx + 1]
+        if start == stop:
+            minima.append(_scan_row(rows, idx, lo))
+            full_scans += 1
+        else:
+            minima.append((int(best[idx]), tuple(nearest[start:stop])))
+    return _LengthMinima(tuple(minima), verified, full_scans)
 
 
 def strong_watermark_of(n: int) -> int:
@@ -207,10 +342,11 @@ class ResilienceReport:
     agreement: bool | None
 
 
-def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
-    n = require_watermark(w)
+def _report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
+    """Assemble ``w``'s report from its oracle result, checking it
+    against the closed form."""
+    n = w.bit_length()
     shape = bit_shape(w)
-    oracle, nearest = minvm_oracle(w, cap=cap)
     if n < CLOSED_FORM_MIN_BITS:
         return ResilienceReport(w, n, shape, None, oracle, nearest, None, None)
     closed = minvm_closed_form(w)
@@ -221,6 +357,19 @@ def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
         )
     return ResilienceReport(
         w, n, shape, closed, oracle, nearest, classify_strength(w), oracle == closed
+    )
+
+
+def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
+    return _report(w, *minvm_oracle(w, cap=cap))
+
+
+def _length_reports(n: int) -> tuple[ResilienceReport, ...]:
+    """Reports for every watermark of bit-length ``n``, ascending."""
+    lo = 1 << (n - 1)
+    return tuple(
+        _report(lo + idx, oracle, nearest)
+        for idx, (oracle, nearest) in enumerate(_minima_by_row(n).minima)
     )
 
 
@@ -262,7 +411,7 @@ def survey_range(n: int, cap: int = DEFAULT_CAP) -> tuple[ResilienceReport, ...]
     if n < 2:
         raise WatermarkDomainError(f"bit-length must be >= 2, got {n}")
     _require_within_cap(n, cap)
-    return tuple(analyze_watermark(w, cap=cap) for w in range(1 << (n - 1), 1 << n))
+    return _length_reports(n)
 
 
 @dataclass(frozen=True)
@@ -320,7 +469,7 @@ def verify_theorem(
     mismatches: list[ResilienceReport] = []
     for n in range(n_min, n_max + 1):
         lo = 1 << (n - 1)
-        reports = [analyze_watermark(w, cap=cap) for w in range(lo, 1 << n)]
+        reports = _length_reports(n)
         rows = _encoded_range(n)
         for report in reports:
             for neighbor, cost, rule in proof_neighbors(report.w):

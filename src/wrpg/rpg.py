@@ -115,6 +115,18 @@ def reconstruct_permutation(g: ReduciblePermutationGraph) -> tuple[int, ...]:
     Requires every target to lie strictly above its source (otherwise
     the parent forest is ill-formed); raises
     :class:`FalseIncorrectGraph` when that fails.
+
+    When every target lies above its source, ``dmax_map`` of the result
+    reproduces the back edges, so callers need not compare them.
+    Proof: take element ``i`` with parent ``t > i``.  The preorder lists
+    ``t`` (unless it is the header), then ``t``'s children below ``i``
+    with their subtrees, then ``i``.  Children are visited in ascending
+    order, so those children are smaller than ``i``, and every node in a
+    subtree is smaller than its root.  So every element between ``t``
+    and ``i`` is smaller than ``i``, while ``t`` is larger: the nearest
+    larger element left of ``i`` is ``t``.  When ``t`` is the header,
+    every element left of ``i`` lies in an earlier root subtree, so none
+    is larger and ``dmax(i)`` is the header too.
     """
     m = g.n_star
     for i, t in enumerate(g.back_edges, 1):
@@ -143,8 +155,6 @@ def decode_rpg_to_sip(g: ReduciblePermutationGraph) -> SelfInvertingPermutation:
     when ``g`` is not the graph of a valid permutation codeword.
     """
     candidate = reconstruct_permutation(g)
-    if dmax_map(candidate) != g.back_edges:
-        raise FalseIncorrectGraph("dmax-roundtrip", "back edges do not describe any permutation")
     try:
         return SelfInvertingPermutation(candidate)
     except SipInvariantError as exc:

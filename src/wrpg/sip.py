@@ -99,6 +99,15 @@ class SelfInvertingPermutation:
         if fixed != 1:
             raise SipInvariantError(f"expected exactly one fixed point, found {fixed}")
 
+    @classmethod
+    def _trusted(cls, elements: tuple[int, ...]) -> "SelfInvertingPermutation":
+        """Wrap ``elements`` without the checks, for the encoder's own
+        output, which is an involution with one fixed point by
+        construction.  External input goes through the constructor."""
+        sip = object.__new__(cls)
+        object.__setattr__(sip, "elements", elements)
+        return sip
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -159,7 +168,7 @@ def encode_w_to_sip(w: int) -> tuple[SelfInvertingPermutation, EncodingTrace]:
     mid = pi_b[n]
     out[mid - 1] = mid
     trace = EncodingTrace(b_prime, tuple(xs), tuple(ys), tuple(pi_b))
-    return SelfInvertingPermutation(tuple(out)), trace
+    return SelfInvertingPermutation._trusted(tuple(out)), trace
 
 
 def decode_sip_to_w(sip: SelfInvertingPermutation) -> int:

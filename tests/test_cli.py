@@ -136,6 +136,14 @@ def test_analyze_beyond_cap(workdir, capsys):
     assert main(["analyze", str(1 << 20), "--cap-override", "15"]) == 3
 
 
+def test_analyze_rejects_a_table_beyond_physical_memory(workdir, capsys):
+    # the 41-bit table has 2^40 rows of 83 one-byte targets
+    assert main(["analyze", str(1 << 40), "--cap-override", "64"]) == 3
+    err = capsys.readouterr().err
+    assert f"error: the 41-bit table needs {(1 << 40) * 83} bytes" in err
+    assert "bytes of physical memory" in err
+
+
 def test_survey_csv_contents_and_stability(workdir, capsys):
     assert main(["survey", "--bits", "4"]) == 0
     first = capsys.readouterr().out

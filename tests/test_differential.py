@@ -17,7 +17,9 @@ from wrpg.rpg import (
     ReduciblePermutationGraph,
     check_reducibility,
     decode_rpg_to_sip,
+    dmax_map,
     encode_sip_to_rpg,
+    reconstruct_permutation,
 )
 from wrpg.sip import decode_sip_to_w, encode_w_to_sip
 
@@ -96,3 +98,21 @@ def test_classify_agrees_with_the_decoder():
         else:
             assert report.reasons
     assert valid > 0  # an edit that keeps its own target leaves a codeword
+
+
+def test_reconstruction_reproduces_every_upward_back_edge_vector():
+    # decoding and classify rely on this instead of comparing dmax_map
+    upward = 0
+    for back_edges in edited_back_edges():
+        header = len(back_edges) + 1
+        if all(i < t <= header for i, t in enumerate(back_edges, 1)):
+            g = ReduciblePermutationGraph(back_edges)
+            assert dmax_map(reconstruct_permutation(g)) == back_edges, back_edges
+            upward += 1
+    assert upward == 9_976
+    rng = random.Random(1812)
+    for _ in range(2_000):
+        m = rng.randrange(5, 42, 2)
+        back_edges = tuple(rng.randint(i + 1, m + 1) for i in range(1, m + 1))
+        g = ReduciblePermutationGraph(back_edges)
+        assert dmax_map(reconstruct_permutation(g)) == back_edges, back_edges

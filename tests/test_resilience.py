@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import wrpg.resilience as resilience
@@ -21,7 +23,7 @@ from wrpg.resilience import (
     verify_theorem,
 )
 from wrpg.rpg import encode_sip_to_rpg, graph_distance
-from wrpg.sip import encode_w_to_sip
+from wrpg.sip import CASE_TWO_ZEROS, bit_shape, encode_w_to_sip
 
 
 def graph_of(w: int):
@@ -110,6 +112,34 @@ def test_oracle_enforces_the_enumeration_cap():
         minvm_oracle(1 << 14)  # 15 bits > default cap
     best, _ = minvm_oracle(1 << 14, cap=15)
     assert best >= 3
+
+
+def test_join_matches_the_brute_force_oracle_on_every_small_watermark():
+    for n in range(2, 13):
+        lo = 1 << (n - 1)
+        minima = resilience._minima_by_row(n).minima
+        assert len(minima) == lo
+        for w in range(lo, 1 << n):
+            assert minima[w - lo] == minvm_oracle(w), w
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_join_matches_the_brute_force_oracle_on_non_weak_and_sampled_watermarks(n):
+    lo = 1 << (n - 1)
+    minima = resilience._minima_by_row(n).minima
+    non_weak = [w for w in range(lo, 1 << n) if bit_shape(w).case != CASE_TWO_ZEROS]
+    assert len(non_weak) == 2 * n - 2
+    sample = random.Random(20181227 + n).sample(range(lo, 1 << n), 256)
+    for w in non_weak + sample:
+        assert minima[w - lo] == minvm_oracle(w), w
+
+
+def test_join_work_at_twelve_bits():
+    n = 12
+    rows = 1 << (n - 1)
+    result = resilience._minima_by_row(n)
+    assert result.pairs_verified < 0.02 * rows * (rows - 1) / 2
+    assert result.full_scans == 2 * n - 2
 
 
 def test_proof_neighbors_examples():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wrpg.errors import NotAWatermark, SipInvariantError, WatermarkDomainError
@@ -119,6 +121,15 @@ def test_encoding_is_injective_per_bit_length():
         assert len(seen) == 1 << (n - 1)
 
 
+def test_encoder_output_passes_the_constructor_checks():
+    # the encoder wraps its output without the constructor's checks
+    rng = random.Random(20181227)
+    seeded = [rng.getrandbits(n - 1) | (1 << (n - 1)) for n in (512, 4096) for _ in range(4)]
+    for w in [*range(2, 1 << 12), *seeded]:
+        permutation, _ = encode_w_to_sip(w)
+        assert SelfInvertingPermutation(permutation.elements) == permutation
+
+
 def test_fixed_point_follows_the_leading_ones():
     for w in range(2, 1 << 10):
         permutation, _ = encode_w_to_sip(w)
@@ -149,6 +160,8 @@ def test_one_line_roundtrip():
     permutation, _ = encode_w_to_sip(12)
     assert permutation.one_line() == "5 6 9 8 1 2 7 4 3"
     assert SelfInvertingPermutation.from_one_line("5 6 9 8 1 2 7 4 3") == permutation
+    with pytest.raises(SipInvariantError, match="not an involution"):
+        SelfInvertingPermutation.from_one_line("3 1 2")
 
 
 @pytest.mark.parametrize(
