@@ -2,8 +2,10 @@
 
 Exit codes: 0 success/valid, 2 false-incorrect graph detected,
 3 invalid input or arguments, 4 closed-form/oracle mismatch found by
-``verify-theorem``.  All output is deterministic: same inputs and flags
-produce the same bytes.
+``verify-theorem``, 5 internal invariant failure (a bug in wrpg, e.g.
+the oracle exceeding the closed form; reported as ``internal error:``
+on stderr, without a traceback).  All output is deterministic: same
+inputs and flags produce the same bytes.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, InternalInvariantError
 from .integrity import CHECK_NAMES, apply_edge_edits, classify_graph, parse_edits
 from .resilience import (
     DEFAULT_CAP,
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_FALSE_INCORRECT = 2
 EXIT_BAD_INPUT = 3
 EXIT_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 
 class _CliInputError(Exception):
@@ -252,6 +255,9 @@ def main(argv=None) -> int:
     except (_CliInputError, GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

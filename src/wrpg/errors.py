@@ -53,3 +53,9 @@ class ResourceBoundError(ValueError):
 
 class GraphFormatError(ValueError):
     """A graph file or text payload could not be parsed."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A result contradicts what the implementation guarantees, e.g. the
+    oracle exceeding the closed form or a witness mis-priced: a bug in
+    wrpg, not bad input."""

@@ -21,15 +21,19 @@ The closed form is only defined for bit-length >= 4: hand checks show
 bit-length 3 admits a distance-3 pair that the shape rules would price
 at 4, and bit-length 2 admits distance 2.  The oracle stays available
 there so the deviation can be measured rather than hidden.
+
+Only the oracle needs numpy, so it is imported inside the functions
+that build and search the table: the codec commands never load it.
 """
+
+from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (
+    InternalInvariantError,
     OutOfTheoremRange,
     ResourceBoundError,
     WatermarkDomainError,
@@ -131,30 +135,80 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+# The table is built _BUILD_CHUNK rows at a time.  While a chunk is
+# built, its working arrays hold at most _BUILD_CELL_BYTES bytes per
+# cell of the chunk (tracemalloc peaks of 15-16 bytes per cell for
+# n = 12..20, where chunks are at least 2^11 rows).
+_BUILD_CHUNK = 1 << 12
+_BUILD_CELL_BYTES = 32
+
+
 @lru_cache(maxsize=None)
 def _encoded_range(n: int) -> np.ndarray:
     """Back-edge rows for every watermark of bit-length ``n``, ascending.
 
-    Row ``w - 2^(n-1)`` holds the domination map of ``w``'s codeword.
-    Raises :class:`ResourceBoundError` before allocating when the table
-    would not fit in physical memory.
+    Row ``w - 2^(n-1)`` holds the domination map of ``w``'s codeword,
+    ``dmax_map(encode_w_to_sip(w)[0].elements)``, built by
+    :func:`_domination_maps` a chunk of rows at a time.  Raises
+    :class:`ResourceBoundError` before allocating when the table and
+    one chunk's working arrays would not fit in physical memory.
     """
-    lo, hi = 1 << (n - 1), 1 << n
-    width = 2 * n + 1
+    import numpy as np
+
+    count, width = 1 << (n - 1), 2 * n + 1
     dtype = np.dtype(np.uint8 if width + 1 < 256 else np.int32)
-    table_bytes = (hi - lo) * width * dtype.itemsize
+    table_bytes = count * width * dtype.itemsize
+    work_bytes = min(count, _BUILD_CHUNK) * width * _BUILD_CELL_BYTES
     physical = _physical_memory_bytes()
-    if physical is not None and table_bytes > physical:
+    if physical is not None and table_bytes + work_bytes > physical:
         raise ResourceBoundError(
-            f"the {n}-bit table needs {table_bytes} bytes, more than the "
-            f"{physical} bytes of physical memory"
+            f"the {n}-bit table needs {table_bytes} bytes (plus {work_bytes} bytes "
+            f"while it is built), more than the {physical} bytes of physical memory"
         )
-    rows = np.empty((hi - lo, width), dtype=dtype)
-    for idx, w in enumerate(range(lo, hi)):
-        permutation, _ = encode_w_to_sip(w)
-        rows[idx] = dmax_map(permutation.elements)
+    rows = np.empty((count, width), dtype=dtype)
+    for start in range(0, count, _BUILD_CHUNK):
+        stop = min(start + _BUILD_CHUNK, count)
+        rows[start:stop] = _domination_maps(n, np.arange(start, stop), dtype).T
     rows.setflags(write=False)
     return rows
+
+
+def _domination_maps(n: int, idx: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Domination maps of the codewords of ``2^(n-1) + idx``, one per
+    column: :func:`encode_w_to_sip` and :func:`dmax_map` for all of
+    them at once.  Columns keep each step's rows contiguous.
+
+    Positions ``p`` are 0-based here.  ``B' = 0^n || b || 0`` becomes
+    a 0/1 matrix; ``pi_b = X || reverse(Y)`` is the argsort of the key
+    ``p`` at a 0 and ``2m - p`` at a 1; pairing the two ends of
+    ``pi_b`` sets ``perm[pi_b] = reverse(pi_b) + 1``.  Then each
+    position in turn gets the value at the latest earlier position
+    holding a greater value (the header ``m + 1`` when none does),
+    filed under its own value.
+    """
+    import numpy as np
+
+    m, size = 2 * n + 1, len(idx)
+    key_type = np.min_scalar_type(2 * m)
+    pos = np.arange(m, dtype=key_type)[:, None]
+    ones = np.zeros((m, size), dtype=bool)
+    ones[n] = True  # b_1
+    ones[n + 1 : 2 * n] = (idx >> np.arange(n - 2, -1, -1)[:, None]) & 1
+    key = np.where(ones, 2 * m - pos, pos).astype(key_type)
+    pi_b = np.argsort(key, axis=0).astype(key_type)
+    perm = np.empty((m, size), dtype=dtype)
+    np.put_along_axis(perm, pi_b, (pi_b[::-1] + 1).astype(dtype), axis=0)
+    dominator = np.empty((m, size), dtype=dtype)
+    dominator[0] = m + 1
+    columns = np.arange(size)
+    for j in range(1, m):
+        # 1 + the latest earlier position holding a greater value, or 0
+        latest = ((perm[:j] > perm[j]) * pos[1 : j + 1]).max(axis=0)
+        found = perm[latest.astype(np.intp) - 1, columns]
+        dominator[j] = np.where(latest > 0, found, m + 1)
+    maps = np.empty((m, size), dtype=dtype)
+    np.put_along_axis(maps, perm.astype(np.intp) - 1, dominator, axis=0)
+    return maps
 
 
 def _require_within_cap(n: int, cap: int) -> None:
@@ -179,6 +233,8 @@ def encoded_distance(w1: int, w2: int) -> int:
 def _scan_row(rows: np.ndarray, idx: int, lo: int) -> tuple[int, tuple[int, ...]]:
     """Minimum distance from row ``idx`` to every other row, with the
     ascending watermarks (row + ``lo``) that attain it."""
+    import numpy as np
+
     diffs = (rows != rows[idx]).sum(axis=1)
     diffs[idx] = rows.shape[1] + 1  # never pick the row itself
     best = int(diffs.min())
@@ -204,6 +260,8 @@ _JOIN_CHUNK = 1 << 14  # candidate pairs verified at once
 def _column_groups(rows: np.ndarray, count: int) -> list[list[int]]:
     """Split the columns into ``count`` disjoint groups of balanced
     entropy: highest-entropy column first, each to the lightest group."""
+    import numpy as np
+
     entropy = []
     for column in rows.T:
         p = np.bincount(column) / len(column)
@@ -220,6 +278,8 @@ def _column_groups(rows: np.ndarray, count: int) -> list[list[int]]:
 
 def _group_key(rows: np.ndarray, columns: list[int]) -> np.ndarray:
     """Dense id of each row's values on ``columns``: equal ids, equal values."""
+    import numpy as np
+
     key = np.zeros(len(rows), dtype=np.int64)
     base = int(rows.max()) + 1
     for c in columns:
@@ -251,6 +311,8 @@ def _minima_by_row(n: int) -> _LengthMinima:
     radius are kept.  Rows with no neighbour within the radius get
     :func:`_scan_row`.
     """
+    import numpy as np
+
     rows = _encoded_range(n)
     lo, count = 1 << (n - 1), len(rows)
     groups = _column_groups(rows, _JOIN_RADIUS + 1)
@@ -351,7 +413,7 @@ def _report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
         return ResilienceReport(w, n, shape, None, oracle, nearest, None, None)
     closed = minvm_closed_form(w)
     if oracle > closed:
-        raise RuntimeError(
+        raise InternalInvariantError(
             f"oracle minimum {oracle} exceeds closed form {closed} for w={w}; "
             "the witness constructions are wrong"
         )
@@ -445,7 +507,8 @@ def verify_theorem(
 ) -> TheoremVerification:
     """Sweep every watermark with ``n_min <= bit-length <= n_max``.
 
-    Hard failures (raised, since they mean the implementation is wrong):
+    Hard failures (raised as :class:`InternalInvariantError`, since they
+    mean the implementation is wrong):
     the oracle exceeding the closed form, or any constructive witness
     whose measured distance differs from its predicted cost.  Closed
     form disagreeing with the oracle is a *finding*: such watermarks are
@@ -474,12 +537,12 @@ def verify_theorem(
         for report in reports:
             for neighbor, cost, rule in proof_neighbors(report.w):
                 if neighbor.bit_length() != n or neighbor == report.w:
-                    raise RuntimeError(
+                    raise InternalInvariantError(
                         f"witness {neighbor} of w={report.w} ({rule}) leaves the bit-length range"
                     )
                 measured = int((rows[report.w - lo] != rows[neighbor - lo]).sum())
                 if measured != cost:
-                    raise RuntimeError(
+                    raise InternalInvariantError(
                         f"witness {neighbor} of w={report.w} ({rule}) predicted cost "
                         f"{cost} but measures {measured}"
                     )

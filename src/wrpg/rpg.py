@@ -224,7 +224,9 @@ def graph_from_json(text: str) -> ReduciblePermutationGraph:
     """Parse a canonical graph file payload, rejecting malformed input."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past Python's digit limit, or
+        # nesting deeper than the interpreter's recursion limit
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise GraphFormatError("top-level value must be an object")

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -144,6 +145,38 @@ def test_analyze_rejects_a_table_beyond_physical_memory(workdir, capsys):
     assert "bytes of physical memory" in err
 
 
+def test_oracle_above_the_closed_form_is_an_internal_error(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(resilience, "minvm_closed_form", lambda w: 2)
+    assert main(["analyze", "27"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: oracle minimum 5 exceeds closed form 2 for w=27; "
+        "the witness constructions are wrong\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "mispriced,message",
+    [
+        (lambda w, neighbor, cost: (neighbor, cost + 1), "predicted cost"),
+        (lambda w, neighbor, cost: (w, cost), "leaves the bit-length range"),
+    ],
+)
+def test_a_broken_witness_is_an_internal_error(workdir, capsys, monkeypatch, mispriced, message):
+    proof_neighbors = resilience.proof_neighbors
+
+    def broken(w):
+        return [(*mispriced(w, neighbor, cost), rule) for neighbor, cost, rule in proof_neighbors(w)]
+
+    monkeypatch.setattr(resilience, "proof_neighbors", broken)
+    assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "5"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: witness ")
+    assert message in captured.err
+
+
 def test_survey_csv_contents_and_stability(workdir, capsys):
     assert main(["survey", "--bits", "4"]) == 0
     first = capsys.readouterr().out
@@ -246,3 +279,42 @@ def test_module_invocation_smoke(workdir, subprocess_env):
     )
     assert proc.returncode == 0
     assert proc.stdout == "5 6 9 8 1 2 7 4 3\n"
+
+
+NUMPY_PROBE = """
+import json, sys
+import wrpg
+from wrpg.cli import main
+loaded = {"import": "numpy" in sys.modules}
+for argv in (
+    ["encode", "12"],
+    ["attack", "f12.json", "--edits", "3:9"],
+    ["decode", "f12.json"],
+    ["decode", "f12.attacked.json"],
+    ["classify", "f12.attacked.json"],
+    ["analyze", "27"],
+):
+    loaded[argv[0] + " " + argv[1]] = [main(argv), "numpy" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_codec_commands_never_load_numpy(workdir, subprocess_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        cwd=workdir,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "import": False,
+        "encode 12": [0, False],
+        "attack f12.json": [0, False],
+        "decode f12.json": [0, False],
+        "decode f12.attacked.json": [2, False],
+        "classify f12.attacked.json": [2, False],
+        "analyze 27": [0, True],  # the oracle's table build loads it
+    }

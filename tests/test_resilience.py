@@ -1,5 +1,8 @@
 import random
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import wrpg.resilience as resilience
@@ -22,7 +25,7 @@ from wrpg.resilience import (
     survey_range,
     verify_theorem,
 )
-from wrpg.rpg import encode_sip_to_rpg, graph_distance
+from wrpg.rpg import dmax_map, encode_sip_to_rpg, graph_distance
 from wrpg.sip import CASE_TWO_ZEROS, bit_shape, encode_w_to_sip
 
 
@@ -105,6 +108,50 @@ def test_encoded_distance_builds_no_table_at_large_bit_lengths(monkeypatch):
     assert encoded_distance(1 << 40, (1 << 40) + 1) == 3
     with pytest.raises(WatermarkDomainError):
         encoded_distance(1 << 40, 1 << 41)
+
+
+def loop_table(n: int) -> np.ndarray:
+    """The table built one watermark at a time through the codec, as
+    ``_encoded_range`` did before it was vectorised."""
+    lo = 1 << (n - 1)
+    rows = np.empty((lo, 2 * n + 1), dtype=np.uint8)
+    for idx, w in enumerate(range(lo, 2 * lo)):
+        rows[idx] = dmax_map(encode_w_to_sip(w)[0].elements)
+    return rows
+
+
+def test_vectorised_table_matches_the_codec_on_every_row():
+    for n in range(2, 15):
+        rows = resilience._encoded_range(n)
+        assert rows.dtype == np.uint8  # every width below 255
+        assert not rows.flags.writeable
+        assert np.array_equal(rows, loop_table(n)), n
+
+
+def test_table_memory_estimate_counts_the_working_arrays(monkeypatch):
+    n, width = 16, 33
+    resilience._encoded_range.cache_clear()
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 0)
+    with pytest.raises(ResourceBoundError) as refused:
+        resilience._encoded_range(n)
+    table, work = map(int, re.findall(r"(\d+) bytes", str(refused.value))[:2])
+    assert table == (1 << (n - 1)) * width
+    assert work == resilience._BUILD_CHUNK * width * resilience._BUILD_CELL_BYTES
+    tracemalloc.start()
+    try:
+        monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: table + work - 1)
+        with pytest.raises(ResourceBoundError):
+            resilience._encoded_range(n)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: table + work)
+        rows = resilience._encoded_range(n)
+        built_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused_peak < table // 16  # refused before allocating the table
+    assert rows.nbytes == table
+    assert built_peak <= table + work
 
 
 def test_oracle_enforces_the_enumeration_cap():
