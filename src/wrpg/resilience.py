@@ -56,7 +56,13 @@ STRONG = "Strong"
 ORDINARY = "Ordinary"
 
 
+def _require_int(value: int, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WatermarkDomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_closed_form_range(n: int) -> None:
+    _require_int(n, "bit-length")
     if n < CLOSED_FORM_MIN_BITS:
         raise OutOfTheoremRange(
             f"closed-form analysis requires bit-length >= {CLOSED_FORM_MIN_BITS}, got {n}"
@@ -149,15 +155,16 @@ def _encoded_range(n: int) -> np.ndarray:
 
     Row ``w - 2^(n-1)`` holds the domination map of ``w``'s codeword,
     ``dmax_map(encode_w_to_sip(w)[0].elements)``, built by
-    :func:`_domination_maps` a chunk of rows at a time.  Raises
+    :func:`_domination_maps` a chunk of rows at a time.  The table is
+    ``uint8``: its values are at most ``2n + 2``, which fits at every
+    bit-length whose table could be allocated.  Raises
     :class:`ResourceBoundError` before allocating when the table and
     one chunk's working arrays would not fit in physical memory.
     """
     import numpy as np
 
     count, width = 1 << (n - 1), 2 * n + 1
-    dtype = np.dtype(np.uint8 if width + 1 < 256 else np.int32)
-    table_bytes = count * width * dtype.itemsize
+    table_bytes = count * width
     work_bytes = min(count, _BUILD_CHUNK) * width * _BUILD_CELL_BYTES
     physical = _physical_memory_bytes()
     if physical is not None and table_bytes + work_bytes > physical:
@@ -165,18 +172,18 @@ def _encoded_range(n: int) -> np.ndarray:
             f"the {n}-bit table needs {table_bytes} bytes (plus {work_bytes} bytes "
             f"while it is built), more than the {physical} bytes of physical memory"
         )
-    rows = np.empty((count, width), dtype=dtype)
+    rows = np.empty((count, width), dtype=np.uint8)
     for start in range(0, count, _BUILD_CHUNK):
         stop = min(start + _BUILD_CHUNK, count)
-        rows[start:stop] = _domination_maps(n, np.arange(start, stop), dtype).T
+        rows[start:stop] = _domination_maps(n, np.arange(start, stop)).T
     rows.setflags(write=False)
     return rows
 
 
-def _domination_maps(n: int, idx: np.ndarray, dtype: np.dtype) -> np.ndarray:
+def _domination_maps(n: int, idx: np.ndarray) -> np.ndarray:
     """Domination maps of the codewords of ``2^(n-1) + idx``, one per
-    column: :func:`encode_w_to_sip` and :func:`dmax_map` for all of
-    them at once.  Columns keep each step's rows contiguous.
+    ``uint8`` column: :func:`encode_w_to_sip` and :func:`dmax_map` for
+    all of them at once.  Columns keep each step's rows contiguous.
 
     Positions ``p`` are 0-based here.  ``B' = 0^n || b || 0`` becomes
     a 0/1 matrix; ``pi_b = X || reverse(Y)`` is the argsort of the key
@@ -196,9 +203,9 @@ def _domination_maps(n: int, idx: np.ndarray, dtype: np.dtype) -> np.ndarray:
     ones[n + 1 : 2 * n] = (idx >> np.arange(n - 2, -1, -1)[:, None]) & 1
     key = np.where(ones, 2 * m - pos, pos).astype(key_type)
     pi_b = np.argsort(key, axis=0).astype(key_type)
-    perm = np.empty((m, size), dtype=dtype)
-    np.put_along_axis(perm, pi_b, (pi_b[::-1] + 1).astype(dtype), axis=0)
-    dominator = np.empty((m, size), dtype=dtype)
+    perm = np.empty((m, size), dtype=np.uint8)
+    np.put_along_axis(perm, pi_b, (pi_b[::-1] + 1).astype(np.uint8), axis=0)
+    dominator = np.empty((m, size), dtype=np.uint8)
     dominator[0] = m + 1
     columns = np.arange(size)
     for j in range(1, m):
@@ -206,12 +213,14 @@ def _domination_maps(n: int, idx: np.ndarray, dtype: np.dtype) -> np.ndarray:
         latest = ((perm[:j] > perm[j]) * pos[1 : j + 1]).max(axis=0)
         found = perm[latest.astype(np.intp) - 1, columns]
         dominator[j] = np.where(latest > 0, found, m + 1)
-    maps = np.empty((m, size), dtype=dtype)
+    maps = np.empty((m, size), dtype=np.uint8)
     np.put_along_axis(maps, perm.astype(np.intp) - 1, dominator, axis=0)
     return maps
 
 
 def _require_within_cap(n: int, cap: int) -> None:
+    _require_int(n, "bit-length")
+    _require_int(cap, "cap")
     if n > cap:
         raise ResourceBoundError(
             f"bit-length {n} exceeds the enumeration cap {cap}; raise the cap to override"
@@ -257,26 +266,7 @@ _JOIN_RADIUS = 3
 _JOIN_CHUNK = 1 << 14  # candidate pairs verified at once
 
 
-def _column_groups(rows: np.ndarray, count: int) -> list[list[int]]:
-    """Split the columns into ``count`` disjoint groups of balanced
-    entropy: highest-entropy column first, each to the lightest group."""
-    import numpy as np
-
-    entropy = []
-    for column in rows.T:
-        p = np.bincount(column) / len(column)
-        p = p[p > 0]
-        entropy.append(float(-(p * np.log2(p)).sum()))
-    groups: list[list[int]] = [[] for _ in range(count)]
-    totals = [0.0] * count
-    for c in sorted(range(len(entropy)), key=lambda c: -entropy[c]):
-        g = totals.index(min(totals))
-        groups[g].append(c)
-        totals[g] += entropy[c]
-    return groups
-
-
-def _group_key(rows: np.ndarray, columns: list[int]) -> np.ndarray:
+def _group_key(rows: np.ndarray, columns: range) -> np.ndarray:
     """Dense id of each row's values on ``columns``: equal ids, equal values."""
     import numpy as np
 
@@ -301,21 +291,21 @@ class _LengthMinima:
 def _minima_by_row(n: int) -> _LengthMinima:
     """Exact ``minvm_oracle`` of every watermark of bit-length ``n``.
 
-    A pigeonhole (multi-index) join: with the columns split into
-    ``_JOIN_RADIUS + 1`` disjoint groups, two rows within distance
-    ``_JOIN_RADIUS`` agree exactly on at least one group.  So comparing
-    only rows that share a key in some group finds every pair within
-    the radius, hence every row's whole nearest set when its minimum
-    lies within it.  A pair is verified only in the first group it
-    shares, in chunks of ``_JOIN_CHUNK``, and only pairs within the
-    radius are kept.  Rows with no neighbour within the radius get
-    :func:`_scan_row`.
+    A pigeonhole (multi-index) join: with the columns split into the
+    ``_JOIN_RADIUS + 1`` disjoint groups ``g, g + 4, g + 8, ...``, two
+    rows within distance ``_JOIN_RADIUS`` agree exactly on at least one
+    group.  So comparing only rows that share a key in some group finds
+    every pair within the radius, hence every row's whole nearest set
+    when its minimum lies within it.  A pair is verified only in the
+    first group it shares, in chunks of ``_JOIN_CHUNK``, and only pairs
+    within the radius are kept.  Rows with no neighbour within the
+    radius get :func:`_scan_row`.
     """
     import numpy as np
 
     rows = _encoded_range(n)
     lo, count = 1 << (n - 1), len(rows)
-    groups = _column_groups(rows, _JOIN_RADIUS + 1)
+    groups = [range(g, rows.shape[1], _JOIN_RADIUS + 1) for g in range(_JOIN_RADIUS + 1)]
     keys = np.stack([_group_key(rows, columns) for columns in groups])
     kept_a, kept_b = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     kept_d = [np.empty(0, np.uint8)]
@@ -470,6 +460,7 @@ def report_record(report: ResilienceReport) -> dict[str, object]:
 
 def survey_range(n: int, cap: int = DEFAULT_CAP) -> tuple[ResilienceReport, ...]:
     """Analyze every watermark of bit-length ``n``, ascending."""
+    _require_int(n, "bit-length")
     if n < 2:
         raise WatermarkDomainError(f"bit-length must be >= 2, got {n}")
     _require_within_cap(n, cap)
@@ -519,6 +510,8 @@ def verify_theorem(
     nearest-set among the maximizers, and whether the maximizer is
     unique (expected for odd bit-lengths).
     """
+    _require_int(n_min, "bit-length")
+    _require_int(n_max, "bit-length")
     if n_min < CLOSED_FORM_MIN_BITS:
         raise OutOfTheoremRange(
             f"verification starts at bit-length {CLOSED_FORM_MIN_BITS}, got {n_min}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -233,6 +234,28 @@ def test_verify_theorem_writes_rows(workdir):
     ]) == 0
     lines = (workdir / "rows.csv").read_text().splitlines()
     assert len(lines) == 9
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_sweep_output_bytes_are_pinned(workdir, capsys):
+    # Output is byte-stable across versions: a change to the table or
+    # the join must leave these digests as they are.
+    assert main([
+        "verify-theorem", "--bits-min", "4", "--bits-max", "12", "--out", "rows.csv",
+    ]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "21720e7051a91fab7d454c7d87306e0fb08990594d25bdcf3d9360750e144c85"
+    )
+    assert sha256((workdir / "rows.csv").read_bytes()) == (
+        "cf91275d77e08700be36aeaa0946bce6f8c56e1c39e4e165603d754f0b5a8754"
+    )
+    assert main(["survey", "--bits", "12", "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "4e8189a4dfd8db9a01b249f9aca0793d912d5d24a5f2dfe0e4cb91d45e578229"
+    )
 
 
 def test_verify_theorem_rejects_bad_ranges(workdir):

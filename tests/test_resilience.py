@@ -170,7 +170,7 @@ def test_join_matches_the_brute_force_oracle_on_every_small_watermark():
             assert minima[w - lo] == minvm_oracle(w), w
 
 
-@pytest.mark.parametrize("n", [13, 14])
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
 def test_join_matches_the_brute_force_oracle_on_non_weak_and_sampled_watermarks(n):
     lo = 1 << (n - 1)
     minima = resilience._minima_by_row(n).minima
@@ -178,14 +178,14 @@ def test_join_matches_the_brute_force_oracle_on_non_weak_and_sampled_watermarks(
     assert len(non_weak) == 2 * n - 2
     sample = random.Random(20181227 + n).sample(range(lo, 1 << n), 256)
     for w in non_weak + sample:
-        assert minima[w - lo] == minvm_oracle(w), w
+        assert minima[w - lo] == minvm_oracle(w, cap=n), w
 
 
-def test_join_work_at_twelve_bits():
-    n = 12
+@pytest.mark.parametrize("n,percent", [(12, 2), (14, 1)])
+def test_join_work(n, percent):
     rows = 1 << (n - 1)
     result = resilience._minima_by_row(n)
-    assert result.pairs_verified < 0.02 * rows * (rows - 1) / 2
+    assert result.pairs_verified < percent / 100 * rows * (rows - 1) / 2
     assert result.full_scans == 2 * n - 2
 
 
@@ -286,6 +286,27 @@ def test_verify_theorem_five_bits_argmax_is_the_strong_form():
     summary = result.summaries[0]
     assert summary.argmax == (27,)
     assert summary.argmax_unique
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (strong_watermark_of, (4.5,)),
+        (strong_watermark_of, (5.0,)),
+        (strong_watermark_of, (True,)),
+        (survey_range, (4.0,)),
+        (survey_range, (4, 14.0)),
+        (verify_theorem, (4.0, 5)),
+        (verify_theorem, (4, "5")),
+        (verify_theorem, (4, 5, None)),
+        (minvm_oracle, (9, "x")),
+        (minvm_oracle, (9, True)),
+        (analyze_watermark, (9, 14.5)),
+    ],
+)
+def test_non_integer_bit_lengths_and_caps_are_domain_errors(call, args):
+    with pytest.raises(WatermarkDomainError):
+        call(*args)
 
 
 def test_verify_theorem_argument_validation():
