@@ -13,17 +13,6 @@ class SipInvariantError(ValueError):
     """A sequence violates the self-inverting-permutation invariants."""
 
 
-class TemplateViolation(ValueError):
-    """A permutation does not match the block-structure template.
-
-    ``clause`` identifies the first failed template clause.
-    """
-
-    def __init__(self, clause: str, message: str):
-        super().__init__(message)
-        self.clause = clause
-
-
 class FalseIncorrectGraph(ValueError):
     """A graph from which no watermark can be extracted.
 

@@ -1,18 +1,19 @@
 """Attack application and validity classification of watermark graphs.
 
-An attacked graph is valid exactly when the decode pipeline succeeds on
-it (decoding re-encodes and compares), so ``classify_graph`` and the
-decoder cannot disagree.  When decoding fails, the named structural
-checks run to explain which properties an edit destroyed.
+An attacked graph is valid exactly when it equals the codec's own graph
+of the watermark it spells, so ``classify_graph`` decides validity with
+one re-encode and one comparison, and agrees with the decoder.  When
+the comparison fails, the named structural checks run to explain which
+properties an edit destroyed.
 ``classify_graph`` never raises: attack analysis wants total functions
 with rich reports.
 """
 
 from dataclasses import dataclass
 
-from .errors import FalseIncorrectGraph, NotAWatermark, SipInvariantError, UnsupportedAttack
-from .rpg import ReduciblePermutationGraph, reconstruct_permutation
-from .sip import SelfInvertingPermutation, decode_sip_to_w, template_failures
+from .errors import FalseIncorrectGraph, NotAWatermark, UnsupportedAttack
+from .rpg import ReduciblePermutationGraph, dmax_map, reconstruct_permutation
+from .sip import SelfInvertingPermutation, decode_sip_to_w, encode_w_to_sip, template_failures
 
 CHECK_NAMES = (
     "involution",
@@ -94,19 +95,52 @@ class ValidityReport:
         return tuple(name for name in CHECK_NAMES if self.checks[name] is False)
 
 
+def _read_watermark(g: ReduciblePermutationGraph) -> int | None:
+    """The watermark ``w'`` a codeword graph spells, or None.
+
+    Bit ``j`` of ``w'`` is 1 exactly when element ``n+j``'s back edge
+    targets the header ``s``.  None when the graph is too small or
+    element ``n+1``'s edge misses ``s``, so ``w'`` would lack its
+    leading bit; no codeword has either property.
+
+    On a codeword graph this returns the codeword's watermark.  Proof:
+    in a codeword the leading entries inside ``[n+1, 2n]``, which
+    :func:`decode_sip_to_w` reads, form one ascending run from the
+    first position: ``pi1``, then the rising half of the bitonic
+    ``pi2`` up to ``2n+1`` (in the all-ones case just
+    ``pi1 = n+1..2n``).  So each of them has ``dmax = s``.  Every other
+    element of ``[n+1, 2n]`` (the falling half of ``pi2`` and the fixed
+    point in ``pi3``) lies right of ``2n+1``, so its ``dmax`` is not
+    ``s``.  Hence the elements of ``[n+1, 2n]`` whose back edge targets
+    ``s`` are exactly the ones the decoder reads.
+    """
+    n, header = g.n, g.header
+    edges = g.back_edges
+    if n < 2 or edges[n] != header:
+        return None
+    w = 0
+    for target in edges[n : 2 * n]:
+        w = (w << 1) | (target == header)
+    return w
+
+
 def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
     """Report Valid(w) or false-incorrect, with per-check explanations.
 
-    The verdict is the decode pipeline itself: rebuild the permutation
-    from the back edges (whose domination map then reproduces them, see
-    :func:`reconstruct_permutation`) and decode it to a watermark (which
-    re-encodes and compares).  When that succeeds every check passes.
-    Otherwise the named checks run only to explain which properties the
-    graph lacks.  Note that
+    The verdict is one comparison: ``g`` is ``Valid(w')`` exactly when
+    its back edges equal the codec's own graph of the watermark ``w'``
+    it spells (see :func:`_read_watermark`).  A graph that is not a
+    codeword graph equals no codec graph, whatever ``w'`` is read.
+    When the comparison fails, the named checks run only to explain
+    which properties the graph lacks.  Note that
     "true-incorrect" is a relation to an original watermark: a tampered
     graph that classifies ``Valid(w')`` is true-incorrect relative to
     the watermark ``w != w'`` it was built from.
     """
+    w = _read_watermark(g)
+    if w is not None and g.back_edges == dmax_map(encode_w_to_sip(w)[0].elements):
+        return ValidityReport(dict.fromkeys(CHECK_NAMES, True), w, ())
+
     checks: dict[str, bool | None] = dict.fromkeys(CHECK_NAMES)
     reasons: list[str] = []
     m = g.n_star
@@ -122,12 +156,6 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
         reasons.append("decoding skipped: the back edges do not form a forest")
         return ValidityReport(checks, None, tuple(reasons))
     checks["range_odd_length"] = odd_ok
-    try:
-        w = decode_sip_to_w(SelfInvertingPermutation(seq))
-    except (SipInvariantError, NotAWatermark) as exc:
-        decode_error = str(exc)
-    else:
-        return ValidityReport(dict.fromkeys(CHECK_NAMES, True), w, ())
 
     inv_ok = all(seq[val - 1] == pos for pos, val in enumerate(seq, 1))
     checks["involution"] = inv_ok
@@ -138,7 +166,7 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
     if fixed != 1:
         reasons.append(f"expected exactly one fixed point, found {fixed}")
 
-    _, failures = template_failures(seq)
+    failures = template_failures(seq)
     clauses = [clause for clause, _ in failures]
     if "pi1_start" in clauses or "not_a_permutation" in clauses:
         checks["block_template"] = False
@@ -150,36 +178,10 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
 
     if inv_ok and fixed == 1 and odd_ok:
         checks["roundtrip"] = False
-        reasons.append(decode_error)
+        try:
+            decode_sip_to_w(SelfInvertingPermutation._trusted(seq))
+        except NotAWatermark as exc:  # always, since g is no codec graph
+            reasons.append(str(exc))
     else:
         reasons.append("decoding skipped: permutation checks failed")
     return ValidityReport(checks, None, tuple(reasons))
-
-
-def swap_conjugate(
-    sip: SelfInvertingPermutation, x: int, y: int
-) -> SelfInvertingPermutation:
-    """Relabel ``x`` and ``y`` in every cycle of ``sip``.
-
-    This is conjugation by the transposition (x y): it swaps the pair
-    of mirrored positions together with the pair of values, so the
-    result is always an involution with the same number of fixed
-    points.  Whether it is still a watermark codeword is a separate
-    question for the classifier.
-    """
-    m = sip.n_star
-    if not (1 <= x <= m and 1 <= y <= m):
-        raise ValueError(f"swap elements must lie in 1..{m}")
-    if x == y:
-        raise ValueError("swap elements must differ")
-
-    def tau(value: int) -> int:
-        if value == x:
-            return y
-        if value == y:
-            return x
-        return value
-
-    elems = sip.elements
-    out = tuple(tau(elems[tau(pos) - 1]) for pos in range(1, m + 1))
-    return SelfInvertingPermutation(out)

@@ -73,7 +73,10 @@ def minvm_closed_form(w: int) -> int:
     """Shape-based minimum count of valid edge modifications."""
     n = require_watermark(w)
     _require_closed_form_range(n)
-    shape = bit_shape(w)
+    return _closed_form(bit_shape(w))
+
+
+def _closed_form(shape: WatermarkShape) -> int:
     if shape.case == CASE_TWO_ZEROS:
         return 3
     if shape.case == CASE_ONE_ZERO:
@@ -105,7 +108,10 @@ def proof_neighbors(w: int) -> list[tuple[int, int, str]]:
     """
     n = require_watermark(w)
     _require_closed_form_range(n)
-    shape = bit_shape(w)
+    return _proof_neighbors(w, n, bit_shape(w))
+
+
+def _proof_neighbors(w: int, n: int, shape: WatermarkShape) -> list[tuple[int, int, str]]:
     out: list[tuple[int, int, str]] = []
     if shape.case == CASE_TWO_ZEROS:
         out.append((w ^ 1, 3, "swap"))
@@ -149,6 +155,20 @@ _BUILD_CHUNK = 1 << 12
 _BUILD_CELL_BYTES = 32
 
 
+def _require_table_fits(n: int) -> None:
+    """Raise :class:`ResourceBoundError` when the ``n``-bit table and
+    one chunk's working arrays would not fit in physical memory."""
+    count, width = 1 << (n - 1), 2 * n + 1
+    table_bytes = count * width
+    work_bytes = min(count, _BUILD_CHUNK) * width * _BUILD_CELL_BYTES
+    physical = _physical_memory_bytes()
+    if physical is not None and table_bytes + work_bytes > physical:
+        raise ResourceBoundError(
+            f"the {n}-bit table needs {table_bytes} bytes (plus {work_bytes} bytes "
+            f"while it is built), more than the {physical} bytes of physical memory"
+        )
+
+
 @lru_cache(maxsize=None)
 def _encoded_range(n: int) -> np.ndarray:
     """Back-edge rows for every watermark of bit-length ``n``, ascending.
@@ -163,15 +183,8 @@ def _encoded_range(n: int) -> np.ndarray:
     """
     import numpy as np
 
+    _require_table_fits(n)
     count, width = 1 << (n - 1), 2 * n + 1
-    table_bytes = count * width
-    work_bytes = min(count, _BUILD_CHUNK) * width * _BUILD_CELL_BYTES
-    physical = _physical_memory_bytes()
-    if physical is not None and table_bytes + work_bytes > physical:
-        raise ResourceBoundError(
-            f"the {n}-bit table needs {table_bytes} bytes (plus {work_bytes} bytes "
-            f"while it is built), more than the {physical} bytes of physical memory"
-        )
     rows = np.empty((count, width), dtype=np.uint8)
     for start in range(0, count, _BUILD_CHUNK):
         stop = min(start + _BUILD_CHUNK, count)
@@ -369,7 +382,11 @@ def classify_strength(w: int) -> str:
     fewest nearest rewrites), or Ordinary."""
     n = require_watermark(w)
     _require_closed_form_range(n)
-    if bit_shape(w).case == CASE_TWO_ZEROS:
+    return _strength(w, n, bit_shape(w))
+
+
+def _strength(w: int, n: int, shape: WatermarkShape) -> str:
+    if shape.case == CASE_TWO_ZEROS:
         return WEAK
     if w == strong_watermark_of(n):
         return STRONG
@@ -401,14 +418,14 @@ def _report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
     shape = bit_shape(w)
     if n < CLOSED_FORM_MIN_BITS:
         return ResilienceReport(w, n, shape, None, oracle, nearest, None, None)
-    closed = minvm_closed_form(w)
+    closed = _closed_form(shape)
     if oracle > closed:
         raise InternalInvariantError(
             f"oracle minimum {oracle} exceeds closed form {closed} for w={w}; "
             "the witness constructions are wrong"
         )
     return ResilienceReport(
-        w, n, shape, closed, oracle, nearest, classify_strength(w), oracle == closed
+        w, n, shape, closed, oracle, nearest, _strength(w, n, shape), oracle == closed
     )
 
 
@@ -519,6 +536,7 @@ def verify_theorem(
     if n_max < n_min:
         raise WatermarkDomainError(f"empty bit-length range {n_min}..{n_max}")
     _require_within_cap(n_max, cap)
+    _require_table_fits(n_max)  # the largest table, refused before any sweep work
 
     all_reports: list[ResilienceReport] = []
     summaries: list[RangeSummary] = []
@@ -528,7 +546,7 @@ def verify_theorem(
         reports = _length_reports(n)
         rows = _encoded_range(n)
         for report in reports:
-            for neighbor, cost, rule in proof_neighbors(report.w):
+            for neighbor, cost, rule in _proof_neighbors(report.w, n, report.shape):
                 if neighbor.bit_length() != n or neighbor == report.w:
                     raise InternalInvariantError(
                         f"witness {neighbor} of w={report.w} ({rule}) leaves the bit-length range"

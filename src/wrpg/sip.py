@@ -22,12 +22,7 @@ is safe for unrestricted concurrent use.
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    NotAWatermark,
-    SipInvariantError,
-    TemplateViolation,
-    WatermarkDomainError,
-)
+from .errors import NotAWatermark, SipInvariantError, WatermarkDomainError
 
 # Shape cases, keyed by the number of zeros in the internal block
 # b_2..b_{n-1}: two or more, exactly one, none.
@@ -103,7 +98,8 @@ class SelfInvertingPermutation:
     def _trusted(cls, elements: tuple[int, ...]) -> "SelfInvertingPermutation":
         """Wrap ``elements`` without the checks, for the encoder's own
         output, which is an involution with one fixed point by
-        construction.  External input goes through the constructor."""
+        construction, and for sequences whose caller has just checked
+        that.  External input goes through the constructor."""
         sip = object.__new__(cls)
         object.__setattr__(sip, "elements", elements)
         return sip
@@ -194,31 +190,6 @@ def decode_sip_to_w(sip: SelfInvertingPermutation) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """The four contiguous blocks ``pi1 || pi2 || pi3 || pi4`` of a
-    codeword permutation.
-
-    ``k`` is the length of the leading run ``(n+1, .., n+k)``; ``alpha``
-    is the fixed point ``n+k+1`` (which is ``2n+1`` when ``k = n`` and
-    ``pi2``/``pi4`` are empty); ``beta`` is the last element of ``pi2``;
-    ``gamma`` is the position of the maximum element ``2n+1``.
-    """
-
-    pi1: tuple[int, ...]
-    pi2: tuple[int, ...]
-    pi3: tuple[int, ...]
-    pi4: tuple[int, ...]
-    k: int
-    alpha: int
-    beta: int | None
-    gamma: int | None
-
-    @property
-    def all_one(self) -> bool:
-        return not self.pi2
-
-
 def is_bitonic(seq: Sequence[int]) -> bool:
     """True when ``seq`` strictly rises then strictly falls (either part
     may be empty)."""
@@ -230,27 +201,27 @@ def is_bitonic(seq: Sequence[int]) -> bool:
     return rising and falling
 
 
-def template_failures(
-    elements: Sequence[int],
-) -> tuple[BlockDecomposition | None, list[tuple[str, str]]]:
-    """Check ``elements`` against the block template.
+def template_failures(elements: Sequence[int]) -> list[tuple[str, str]]:
+    """Check ``elements`` against the block template ``pi1 || pi2 ||
+    pi3 || pi4`` of a codeword permutation.
 
-    Returns ``(decomposition, failures)`` where ``failures`` is a list of
-    ``(clause, message)`` pairs; the decomposition is only built when the
-    list is empty.
+    Returns the failed clauses as ``(clause, message)`` pairs, empty
+    when the template holds.  ``pi1`` is the leading run
+    ``(n+1, .., n+k)``; ``pi2`` holds ``{n+k+2..2n+1}`` and is bitonic;
+    ``pi3`` is ``(1..k, alpha)`` with the fixed point ``alpha = n+k+1``;
+    ``pi4`` lists ``pi2``'s positions by ascending element.
     """
     elems = tuple(elements)
     m = len(elems)
     n = (m - 1) // 2
     if m % 2 == 0 or sorted(elems) != list(range(1, m + 1)):
-        return None, [("not_a_permutation", "input is not an odd-length permutation of 1..n*")]
+        return [("not_a_permutation", "input is not an odd-length permutation of 1..n*")]
     if elems[0] != n + 1:
-        return None, [("pi1_start", f"pi1 must start at {n + 1}, got {elems[0]}")]
+        return [("pi1_start", f"pi1 must start at {n + 1}, got {elems[0]}")]
     k = 1
     while k < n and elems[k] == n + 1 + k:
         k += 1
     failures: list[tuple[str, str]] = []
-    pi1 = elems[:k]
     pi2 = elems[k:n]
     pi3 = elems[n : n + k + 1]
     pi4 = elems[n + k + 1 :]
@@ -272,31 +243,4 @@ def template_failures(
             failures.append(
                 ("pi4_positions", f"pi4 must list pi2's positions by ascending element, got {pi4}")
             )
-    if failures:
-        return None, failures
-    decomp = BlockDecomposition(
-        pi1=pi1,
-        pi2=pi2,
-        pi3=pi3,
-        pi4=pi4,
-        k=k,
-        alpha=alpha,
-        beta=pi2[-1] if pi2 else None,
-        gamma=pi4[-1] if pi4 else None,
-    )
-    return decomp, []
-
-
-def decompose_blocks(sip: SelfInvertingPermutation | Sequence[int]) -> BlockDecomposition:
-    """Split a codeword permutation into its four template blocks.
-
-    Raises :class:`TemplateViolation` naming the first failed clause when
-    the input does not match either template shape.
-    """
-    elems = tuple(sip)
-    decomp, failures = template_failures(elems)
-    if failures:
-        clause, message = failures[0]
-        raise TemplateViolation(clause, message)
-    assert decomp is not None
-    return decomp
+    return failures

@@ -18,8 +18,8 @@ from wrpg.sip import (
     CASE_TWO_ZEROS,
     bit_shape,
     decode_sip_to_w,
-    decompose_blocks,
     encode_w_to_sip,
+    template_failures,
 )
 
 
@@ -63,13 +63,15 @@ def test_criterion_2_template_conformance():
         for w in every_watermark(12):
             permutation, _ = encode_w_to_sip(w)
             n = permutation.n
-            d = decompose_blocks(permutation)  # raises on any template breach
-            assert d.pi1 == tuple(range(n + 1, n + d.k + 1))
-            assert d.alpha == n + d.k + 1
-            if d.all_one:
-                assert d.alpha == 2 * n + 1
-            else:
-                assert permutation.elements[d.gamma - 1] == 2 * n + 1
+            assert template_failures(permutation) == []
+            elems = permutation.elements
+            k = next((i for i in range(1, n) if elems[i] != n + 1 + i), n)
+            assert elems[:k] == tuple(range(n + 1, n + k + 1))  # pi1
+            assert permutation.alpha == n + k + 1
+            if k == n:  # all ones: pi2 and pi4 are empty
+                assert permutation.alpha == 2 * n + 1
+            else:  # gamma, the last entry, is the position of 2n+1
+                assert elems[elems[-1] - 1] == 2 * n + 1
 
 
 def test_criterion_3_graph_shape():
@@ -182,11 +184,11 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
         assert first.splitlines()[1].startswith("4,8,Case1,,,,3,3,true,")
         assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "6"]) == 0
         capsys.readouterr()
-        real = resilience.minvm_closed_form
+        real = resilience._closed_form
         monkeypatch.setattr(
             resilience,
-            "minvm_closed_form",
-            lambda w: real(w) + (1 if w == 9 else 0),
+            "_closed_form",
+            lambda shape: real(shape) + (1 if shape == bit_shape(13) else 0),
         )
         assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "4"]) == 4
-        assert "MISMATCH n=4 w=9" in capsys.readouterr().out
+        assert "MISMATCH n=4 w=13" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 import wrpg.resilience as resilience
 from wrpg.cli import main
 from wrpg.rpg import load_graph
+from wrpg.sip import bit_shape
 
 ENCODED_12 = (
     '{"version": 1, "n": 4, "nstar": 9, '
@@ -147,7 +148,7 @@ def test_analyze_rejects_a_table_beyond_physical_memory(workdir, capsys):
 
 
 def test_oracle_above_the_closed_form_is_an_internal_error(workdir, capsys, monkeypatch):
-    monkeypatch.setattr(resilience, "minvm_closed_form", lambda w: 2)
+    monkeypatch.setattr(resilience, "_closed_form", lambda shape: 2)
     assert main(["analyze", "27"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -165,12 +166,15 @@ def test_oracle_above_the_closed_form_is_an_internal_error(workdir, capsys, monk
     ],
 )
 def test_a_broken_witness_is_an_internal_error(workdir, capsys, monkeypatch, mispriced, message):
-    proof_neighbors = resilience.proof_neighbors
+    proof_neighbors = resilience._proof_neighbors
 
-    def broken(w):
-        return [(*mispriced(w, neighbor, cost), rule) for neighbor, cost, rule in proof_neighbors(w)]
+    def broken(w, n, shape):
+        return [
+            (*mispriced(w, neighbor, cost), rule)
+            for neighbor, cost, rule in proof_neighbors(w, n, shape)
+        ]
 
-    monkeypatch.setattr(resilience, "proof_neighbors", broken)
+    monkeypatch.setattr(resilience, "_proof_neighbors", broken)
     assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "5"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -266,16 +270,17 @@ def test_verify_theorem_rejects_bad_ranges(workdir):
 
 def test_verify_theorem_reports_mismatches_with_exit_4(workdir, capsys, monkeypatch):
     # Force a disagreement to exercise the counterexample path: pretend
-    # the closed form prices w=9 one higher than it does.
-    real = resilience.minvm_closed_form
+    # the closed form prices the shape of w=13, which no other 4-bit
+    # watermark has, one higher than it does.
+    real = resilience._closed_form
 
-    def skewed(w):
-        return real(w) + (1 if w == 9 else 0)
+    def skewed(shape):
+        return real(shape) + (1 if shape == bit_shape(13) else 0)
 
-    monkeypatch.setattr(resilience, "minvm_closed_form", skewed)
+    monkeypatch.setattr(resilience, "_closed_form", skewed)
     assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "4"]) == 4
     out = capsys.readouterr().out
-    assert "MISMATCH n=4 w=9 closed=4 oracle=3" in out
+    assert "MISMATCH n=4 w=13 closed=5 oracle=4" in out
     assert "mismatches=1" in out
     assert out.rstrip().endswith("verified 8 watermarks: 1 mismatches")
 

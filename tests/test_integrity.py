@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import wrpg.integrity as integrity
+import wrpg.rpg as rpg
 from wrpg.errors import UnsupportedAttack
 from wrpg.integrity import (
     CHECK_NAMES,
@@ -7,18 +11,13 @@ from wrpg.integrity import (
     apply_edge_edits,
     classify_graph,
     parse_edits,
-    swap_conjugate,
 )
 from wrpg.rpg import ReduciblePermutationGraph, encode_sip_to_rpg, graph_distance
-from wrpg.sip import encode_w_to_sip
+from wrpg.sip import SelfInvertingPermutation, encode_w_to_sip
 
 
 def graph_of(w: int) -> ReduciblePermutationGraph:
     return encode_sip_to_rpg(encode_w_to_sip(w)[0])
-
-
-def sip_of(w: int):
-    return encode_w_to_sip(w)[0]
 
 
 def test_four_edits_turn_five_into_four():
@@ -111,34 +110,35 @@ def test_classify_never_raises_on_arbitrary_targets():
         assert not report.valid
 
 
-def test_swap_conjugate_examples():
-    assert swap_conjugate(sip_of(8), 9, 8) == sip_of(9)
-    assert swap_conjugate(sip_of(5), 7, 6) == sip_of(4)
+def test_reader_spells_the_watermark_of_every_codeword_graph():
+    for w in range(2, 1 << 12):
+        assert integrity._read_watermark(graph_of(w)) == w
+    rng = random.Random(20181227)
+    for n in (512, 4096):
+        for _ in range(4):
+            w = (1 << (n - 1)) | rng.getrandbits(n - 1)
+            assert integrity._read_watermark(graph_of(w)) == w
 
 
-def test_swap_conjugate_is_an_involution_on_permutations():
-    permutation = sip_of(44)
-    once = swap_conjugate(permutation, 3, 8)
-    assert swap_conjugate(once, 3, 8) == permutation
+def test_reader_needs_the_leading_bit():
+    g = graph_of(12)  # n = 4: element 5 targets the header 10
+    assert integrity._read_watermark(apply_edge_edits(g, [EdgeEdit(5, 9)])) is None
+    for back_edges in [(2,), (4, 4, 4), (5, 5, 5, 5)]:  # too small to hold a watermark
+        assert integrity._read_watermark(ReduciblePermutationGraph(back_edges)) is None
 
 
-def test_swap_conjugate_preserves_sip_invariants():
-    # the SelfInvertingPermutation constructor re-validates, so surviving
-    # construction is the property; sweep a few watermarks and pairs
-    for w in (12, 27, 54, 100):
-        permutation = sip_of(w)
-        m = permutation.n_star
-        for x, y in [(1, 2), (1, m), (m - 1, m), (2, 5)]:
-            swapped = swap_conjugate(permutation, x, y)
-            assert swapped.n_star == m
+def test_valid_verdict_needs_neither_reconstruction_nor_sip_checks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the valid path ran a redundant check")
 
-
-def test_swap_conjugate_validates_arguments():
-    permutation = sip_of(12)
-    with pytest.raises(ValueError):
-        swap_conjugate(permutation, 3, 3)
-    with pytest.raises(ValueError):
-        swap_conjugate(permutation, 0, 3)
+    monkeypatch.setattr(integrity, "reconstruct_permutation", refuse)
+    monkeypatch.setattr(rpg, "reconstruct_permutation", refuse)
+    monkeypatch.setattr(SelfInvertingPermutation, "__post_init__", refuse)
+    for w in (2, 7, 12, 27, (1 << 64) - 5):
+        report = classify_graph(graph_of(w))
+        assert report.valid and report.watermark == w
+    with pytest.raises(AssertionError):  # the patches are live
+        classify_graph(apply_edge_edits(graph_of(12), [EdgeEdit(3, 5)]))
 
 
 def test_single_edits_never_reach_another_codeword_at_n4():

@@ -154,6 +154,22 @@ def test_table_memory_estimate_counts_the_working_arrays(monkeypatch):
     assert built_peak <= table + work
 
 
+def test_verify_theorem_refuses_an_oversized_sweep_before_any_work(monkeypatch):
+    # 5 MB fits the 15-bit table (4,571,136 bytes with its working
+    # arrays) but not the 16-bit one (5,406,720)
+    def no_join(n):
+        raise AssertionError(f"joined bit-length {n} before refusing")
+
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 5_000_000)
+    monkeypatch.setattr(resilience, "_minima_by_row", no_join)
+    with pytest.raises(ResourceBoundError) as refused:
+        verify_theorem(4, 16, cap=16)
+    assert str(refused.value) == (
+        "the 16-bit table needs 1081344 bytes (plus 4325376 bytes while it is built), "
+        "more than the 5000000 bytes of physical memory"
+    )
+
+
 def test_oracle_enforces_the_enumeration_cap():
     with pytest.raises(ResourceBoundError):
         minvm_oracle(1 << 14)  # 15 bits > default cap
