@@ -9,8 +9,6 @@ inputs and flags produce the same bytes.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -21,9 +19,8 @@ from .resilience import (
     DEFAULT_CAP,
     REPORT_COLUMNS,
     ResilienceReport,
+    _survey,
     analyze_watermark,
-    report_record,
-    survey_range,
     verify_theorem,
 )
 from .rpg import (
@@ -107,25 +104,69 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _rows_csv(reports) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for report in reports:
-        record = report_record(report)
-        writer.writerow([_cell(record[column]) for column in REPORT_COLUMNS])
-    return buffer.getvalue()
+# Per table format: how a value is written, one row in REPORT_COLUMNS
+# order, the text between rows, and the text before and after them.
+# A shape fills in every column but _ROW_FIELDS, which become "%s".
+_FORMATS = {
+    "csv": (
+        _cell,
+        ",".join(f"{{{column}}}" for column in REPORT_COLUMNS) + "\n",
+        "",
+        ",".join(REPORT_COLUMNS) + "\n",
+        "",
+    ),
+    "json": (
+        json.dumps,
+        "  {{\n" + ",\n".join(f'    "{column}": {{{column}}}' for column in REPORT_COLUMNS)
+        + "\n  }}",
+        ",\n",
+        "[\n",
+        "\n]\n",
+    ),
+}
+_ROW_FIELDS = ("w", "minvm_oracle", "agree", "nearest_count")
 
 
-def _rows_json(reports) -> str:
-    return json.dumps([report_record(r) for r in reports], indent=2) + "\n"
+def _table(sweeps, table_format: str):
+    """The rows of every watermark of ``sweeps`` as CSV or JSON text, a
+    chunk per bit-length, straight from the arrays: each distinct shape
+    fills in its columns once, each row only its own.  The bytes are
+    those of ``report_record`` over the reports, written by
+    ``csv.writer`` or ``json.dumps(..., indent=2)``."""
+    cell, row, between, head, foot = _FORMATS[table_format]
+    agree_cell = {value: cell(value) for value in (None, True, False)}
+    yield head
+    for i, sweep in enumerate(sweeps):
+        shape_rows = [
+            row.format(
+                n=sweep.n, shape_case=cell(shape.case), ell=cell(shape.ell), r=cell(shape.r),
+                b_n=cell(shape.last_bit), minvm_closed=cell(closed), strength=cell(strength),
+                **dict.fromkeys(_ROW_FIELDS, "%s"),
+            )
+            for shape, closed, strength in zip(sweep.shapes, sweep.closed, sweep.strength)
+        ]
+        lo, minima = 1 << (sweep.n - 1), sweep.minima
+        agree = [None] * lo if sweep.agreement is None else sweep.agreement.tolist()
+        rows = [
+            shape_rows[s] % (w, oracle, agree_cell[a], count)
+            for w, s, oracle, a, count in zip(
+                range(lo, 2 * lo),
+                sweep.shape_id.tolist(),
+                minima.minvm.tolist(),
+                agree,
+                minima.nearest_count.tolist(),
+            )
+        ]
+        yield (between if i else "") + between.join(rows)
+    yield foot
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            file.writelines(chunks)
 
 
 def _cap(args) -> int:
@@ -203,9 +244,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    reports = survey_range(args.bits, cap=_cap(args))
-    text = _rows_csv(reports) if args.format == "csv" else _rows_json(reports)
-    _emit(text, args.out)
+    _emit(_table([_survey(args.bits, _cap(args))], args.format), args.out)
     return EXIT_OK
 
 
@@ -226,9 +265,8 @@ def _cmd_verify(args) -> int:
             f"nearest={','.join(str(w) for w in report.nearest)}"
         )
     if args.out:
-        text = _rows_csv(result.reports) if args.format == "csv" else _rows_json(result.reports)
-        _emit(text, args.out)
-    total = len(result.reports)
+        _emit(_table(result._sweeps, args.format), args.out)
+    total = sum(s.count for s in result.summaries)
     if result.ok:
         print(f"verified {total} watermarks: OK")
         return EXIT_OK

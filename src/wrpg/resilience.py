@@ -15,7 +15,10 @@ bit-lengths are unreachable).  Three routes to it live here:
 watermark of a bit-length at once; they get it from one exact join per
 bit-length (:func:`_minima_by_row`) instead of one full row scan per
 watermark.  ``minvm_oracle`` stays the brute-force single-row scan and
-is the test reference for the join.
+is the test reference for the join.  A sweep keeps each bit-length as
+arrays, with the closed form and strength evaluated once per distinct
+shape, and builds ``ResilienceReport`` objects only when a caller asks
+for them; the CLI writes its tables straight from the arrays.
 
 The closed form is only defined for bit-length >= 4: hand checks show
 bit-length 3 admits a distance-3 pair that the shape rules would price
@@ -29,8 +32,8 @@ that build and search the table: the codec commands never load it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .errors import (
     InternalInvariantError,
@@ -155,17 +158,33 @@ _BUILD_CHUNK = 1 << 12
 _BUILD_CELL_BYTES = 32
 
 
-def _require_table_fits(n: int) -> None:
-    """Raise :class:`ResourceBoundError` when the ``n``-bit table and
-    one chunk's working arrays would not fit in physical memory."""
-    count, width = 1 << (n - 1), 2 * n + 1
-    table_bytes = count * width
-    work_bytes = min(count, _BUILD_CHUNK) * width * _BUILD_CELL_BYTES
+def _table_bytes(n: int) -> int:
+    return (1 << (n - 1)) * (2 * n + 1)
+
+
+def _require_tables_fit(n_min: int, n_max: int) -> None:
+    """Raise :class:`ResourceBoundError` when the tables of bit-lengths
+    ``n_min..n_max`` and one chunk's working arrays for the largest
+    would not fit in physical memory.  :func:`_encoded_range` keeps every
+    table it builds, so a sweep holds all of them at once.  The largest
+    table alone is checked first, so a single table is refused with its
+    own figures."""
     physical = _physical_memory_bytes()
-    if physical is not None and table_bytes + work_bytes > physical:
+    if physical is None:
+        return
+    table_bytes = _table_bytes(n_max)
+    work_bytes = min(1 << (n_max - 1), _BUILD_CHUNK) * (2 * n_max + 1) * _BUILD_CELL_BYTES
+    held_bytes = sum(_table_bytes(n) for n in range(n_min, n_max + 1))
+    if table_bytes + work_bytes > physical:
         raise ResourceBoundError(
-            f"the {n}-bit table needs {table_bytes} bytes (plus {work_bytes} bytes "
+            f"the {n_max}-bit table needs {table_bytes} bytes (plus {work_bytes} bytes "
             f"while it is built), more than the {physical} bytes of physical memory"
+        )
+    if held_bytes + work_bytes > physical:
+        raise ResourceBoundError(
+            f"the {n_min}..{n_max}-bit tables need {held_bytes} bytes (plus {work_bytes} "
+            f"bytes while the largest is built), more than the {physical} bytes of "
+            "physical memory"
         )
 
 
@@ -183,7 +202,7 @@ def _encoded_range(n: int) -> np.ndarray:
     """
     import numpy as np
 
-    _require_table_fits(n)
+    _require_tables_fit(n, n)
     count, width = 1 << (n - 1), 2 * n + 1
     rows = np.empty((count, width), dtype=np.uint8)
     for start in range(0, count, _BUILD_CHUNK):
@@ -276,7 +295,7 @@ def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
 # at distance 3, so a join within radius 3 settles all but the 2n-2
 # others, which get a full row scan.
 _JOIN_RADIUS = 3
-_JOIN_CHUNK = 1 << 14  # candidate pairs verified at once
+_JOIN_CHUNK = 1 << 14  # candidate pairs, or rows of witnesses, checked at once
 
 
 def _group_key(rows: np.ndarray, columns: range) -> np.ndarray:
@@ -290,15 +309,26 @@ def _group_key(rows: np.ndarray, columns: range) -> np.ndarray:
     return key.astype(np.int32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LengthMinima:
-    """``(minVM, nearest)`` of every row of one bit-length's table, with
-    the join's work: pairs whose distance it computed, and rows that
-    had no neighbour within the radius and were scanned in full."""
+    """The oracle's ``minVM`` of every row of one bit-length's table and
+    its nearest set as CSR: row ``i``'s ascending nearest watermarks are
+    ``nearest[offsets[i]:offsets[i + 1]]``.  With the join's work: pairs
+    whose distance it computed, and rows that had no neighbour within
+    the radius and were scanned in full."""
 
-    minima: tuple[tuple[int, tuple[int, ...]], ...]
+    minvm: np.ndarray
+    offsets: np.ndarray
+    nearest: np.ndarray
     pairs_verified: int
     full_scans: int
+
+    @property
+    def nearest_count(self) -> np.ndarray:
+        return self.offsets[1:] - self.offsets[:-1]
+
+    def nearest_of(self, row: int) -> tuple[int, ...]:
+        return tuple(self.nearest[self.offsets[row] : self.offsets[row + 1]].tolist())
 
 
 def _minima_by_row(n: int) -> _LengthMinima:
@@ -345,26 +375,24 @@ def _minima_by_row(n: int) -> _LengthMinima:
             kept_a.append(a[near])
             kept_b.append(b[near])
             kept_d.append(d[near].astype(np.uint8))
-    a = np.concatenate(kept_a + kept_b)
-    b = np.concatenate(kept_b + kept_a)
-    d = np.concatenate(kept_d + kept_d)
-    by_row = np.lexsort((b, a))
+    a, b, d = kept_a + kept_b, kept_b + kept_a, kept_d + kept_d
+    reached = np.zeros(count, dtype=bool)
+    for part in a:
+        reached[part] = True
+    scanned = np.flatnonzero(~reached)
+    for idx in scanned.tolist():
+        best, nearest = _scan_row(rows, idx, lo)
+        a.append(np.full(len(nearest), idx, dtype=np.int32))
+        b.append(np.array(nearest, dtype=np.int64) - lo)
+        d.append(np.full(len(nearest), best, dtype=np.uint8))
+    a, b, d = (np.concatenate(parts) for parts in (a, b, d))
+    by_row = np.lexsort((b, d, a))  # by row, then distance, then neighbour
     a, b, d = a[by_row], b[by_row], d[by_row]
-    best = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
-    np.minimum.at(best, a, d)
-    minimal = d == best[a]
-    a, nearest = a[minimal], (b[minimal].astype(np.int64) + lo).tolist()
-    bounds = np.searchsorted(a, np.arange(count + 1)).tolist()
-    minima = []
-    full_scans = 0
-    for idx in range(count):
-        start, stop = bounds[idx], bounds[idx + 1]
-        if start == stop:
-            minima.append(_scan_row(rows, idx, lo))
-            full_scans += 1
-        else:
-            minima.append((int(best[idx]), tuple(nearest[start:stop])))
-    return _LengthMinima(tuple(minima), verified, full_scans)
+    minvm = d[np.searchsorted(a, np.arange(count))]  # each row's first entry
+    minimal = d == minvm[a]
+    offsets = np.searchsorted(a[minimal], np.arange(count + 1))
+    nearest = b[minimal].astype(np.int64) + lo
+    return _LengthMinima(minvm, offsets, nearest, verified, len(scanned))
 
 
 def strong_watermark_of(n: int) -> int:
@@ -411,6 +439,13 @@ class ResilienceReport:
     agreement: bool | None
 
 
+def _oracle_above(w: int, oracle: int, closed: int) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"oracle minimum {oracle} exceeds closed form {closed} for w={w}; "
+        "the witness constructions are wrong"
+    )
+
+
 def _report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
     """Assemble ``w``'s report from its oracle result, checking it
     against the closed form."""
@@ -420,10 +455,7 @@ def _report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
         return ResilienceReport(w, n, shape, None, oracle, nearest, None, None)
     closed = _closed_form(shape)
     if oracle > closed:
-        raise InternalInvariantError(
-            f"oracle minimum {oracle} exceeds closed form {closed} for w={w}; "
-            "the witness constructions are wrong"
-        )
+        raise _oracle_above(w, oracle, closed)
     return ResilienceReport(
         w, n, shape, closed, oracle, nearest, _strength(w, n, shape), oracle == closed
     )
@@ -433,13 +465,122 @@ def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
     return _report(w, *minvm_oracle(w, cap=cap))
 
 
-def _length_reports(n: int) -> tuple[ResilienceReport, ...]:
-    """Reports for every watermark of bit-length ``n``, ascending."""
+@dataclass(frozen=True, eq=False)
+class _LengthSweep:
+    """Every watermark of bit-length ``n`` as arrays over the rows of its
+    table (row ``i`` is ``2^(n-1) + i``).  The shapes are the distinct
+    ones of the bit-length; ``closed`` and ``strength`` hold one value
+    per shape, ``shape_id`` and ``agreement`` one per row.  ``closed``,
+    ``strength`` and ``agreement`` are None below bit-length 4."""
+
+    n: int
+    minima: _LengthMinima
+    shape_id: np.ndarray
+    shapes: tuple[WatermarkShape, ...]
+    closed: tuple[int | None, ...]
+    strength: tuple[str | None, ...]
+    agreement: np.ndarray | None
+
+    def report(self, row: int) -> ResilienceReport:
+        s = int(self.shape_id[row])
+        return ResilienceReport(
+            (1 << (self.n - 1)) + row,
+            self.n,
+            self.shapes[s],
+            self.closed[s],
+            int(self.minima.minvm[row]),
+            self.minima.nearest_of(row),
+            self.strength[s],
+            None if self.agreement is None else bool(self.agreement[row]),
+        )
+
+    def reports(self) -> tuple[ResilienceReport, ...]:
+        return tuple(self.report(row) for row in range(len(self.shape_id)))
+
+    def mismatches(self) -> tuple[ResilienceReport, ...]:
+        return tuple(self.report(row) for row in (~self.agreement).nonzero()[0].tolist())
+
+
+def _shape_ids(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's index into the distinct shapes of bit-length ``n``, and
+    the row that represents each shape.
+
+    Every row whose internal block ``b_2..b_{n-1}`` has two or more
+    zeros has the one Case1 shape, represented by the first of them;
+    every other row is the only watermark of its shape.  So there are at
+    most ``2n - 1`` shapes.
+    """
+    import numpy as np
+
+    count = 1 << (n - 1)
+    internal_zeros = ~(np.arange(count) >> 1) & ((1 << (n - 2)) - 1)
+    alone = (internal_zeros & (internal_zeros - 1)) == 0  # at most one internal zero
+    representatives = np.concatenate([np.flatnonzero(~alone)[:1], np.flatnonzero(alone)])
+    shape_id = np.zeros(count, dtype=np.min_scalar_type(len(representatives)))
+    shape_id[representatives] = np.arange(len(representatives))
+    return shape_id, representatives
+
+
+def _sweep_length(n: int) -> _LengthSweep:
+    """The oracle, shape, closed form and strength of every watermark of
+    bit-length ``n``; the closed form and strength are evaluated once per
+    distinct shape.  Raises :class:`InternalInvariantError` at the first
+    row whose oracle minimum exceeds its closed form."""
+    import numpy as np
+
     lo = 1 << (n - 1)
-    return tuple(
-        _report(lo + idx, oracle, nearest)
-        for idx, (oracle, nearest) in enumerate(_minima_by_row(n).minima)
-    )
+    minima = _minima_by_row(n)
+    shape_id, representatives = _shape_ids(n)
+    ws = (representatives + lo).tolist()
+    shapes = tuple(bit_shape(w) for w in ws)
+    if n < CLOSED_FORM_MIN_BITS:
+        blank = (None,) * len(shapes)
+        return _LengthSweep(n, minima, shape_id, shapes, blank, blank, None)
+    closed = tuple(_closed_form(shape) for shape in shapes)
+    strength = tuple(_strength(w, n, shape) for w, shape in zip(ws, shapes))
+    closed_by_row = np.array(closed)[shape_id]
+    above = np.flatnonzero(minima.minvm > closed_by_row)
+    if len(above):
+        row = int(above[0])
+        raise _oracle_above(lo + row, int(minima.minvm[row]), int(closed_by_row[row]))
+    agreement = minima.minvm == closed_by_row
+    return _LengthSweep(n, minima, shape_id, shapes, closed, strength, agreement)
+
+
+def _check_witnesses(sweep: _LengthSweep) -> None:
+    """Raise :class:`InternalInvariantError` at the first constructive
+    witness, in row order, that leaves the bit-length or whose distance
+    in the table differs from its predicted cost.  The witnesses of
+    ``_JOIN_CHUNK`` rows are measured at once."""
+    import numpy as np
+
+    n, rows = sweep.n, _encoded_range(sweep.n)
+    lo = 1 << (n - 1)
+    for start in range(0, lo, _JOIN_CHUNK):
+        shape_ids = sweep.shape_id[start : start + _JOIN_CHUNK].tolist()
+        found = [
+            (w, neighbor, cost, rule)
+            for w, s in zip(range(lo + start, 2 * lo), shape_ids)
+            for neighbor, cost, rule in _proof_neighbors(w, n, sweep.shapes[s])
+        ]
+        if not found:
+            continue
+        w, neighbor, cost = (np.array(column) for column in tuple(zip(*found))[:3])
+        outside = (neighbor >> (n - 1) != 1) | (neighbor == w)
+        other = (np.where(outside, w, neighbor) - lo).astype(np.intp)
+        measured = np.count_nonzero(rows[w - lo] != rows[other], axis=1)
+        wrong = np.flatnonzero(outside | (measured != cost))
+        if len(wrong):
+            k = int(wrong[0])
+            w, neighbor, cost, rule = found[k]
+            if outside[k]:
+                raise InternalInvariantError(
+                    f"witness {neighbor} of w={w} ({rule}) leaves the bit-length range"
+                )
+            raise InternalInvariantError(
+                f"witness {neighbor} of w={w} ({rule}) predicted cost "
+                f"{cost} but measures {measured[k]}"
+            )
 
 
 REPORT_COLUMNS = (
@@ -458,7 +599,8 @@ REPORT_COLUMNS = (
 
 
 def report_record(report: ResilienceReport) -> dict[str, object]:
-    """Flatten a report into the tabular row shared by survey/verify."""
+    """Flatten a report into the row that ``survey`` and ``verify-theorem``
+    write for it."""
     shape = report.shape
     return {
         "n": report.n,
@@ -475,13 +617,17 @@ def report_record(report: ResilienceReport) -> dict[str, object]:
     }
 
 
-def survey_range(n: int, cap: int = DEFAULT_CAP) -> tuple[ResilienceReport, ...]:
-    """Analyze every watermark of bit-length ``n``, ascending."""
+def _survey(n: int, cap: int) -> _LengthSweep:
     _require_int(n, "bit-length")
     if n < 2:
         raise WatermarkDomainError(f"bit-length must be >= 2, got {n}")
     _require_within_cap(n, cap)
-    return _length_reports(n)
+    return _sweep_length(n)
+
+
+def survey_range(n: int, cap: int = DEFAULT_CAP) -> tuple[ResilienceReport, ...]:
+    """Analyze every watermark of bit-length ``n``, ascending."""
+    return _survey(n, cap).reports()
 
 
 @dataclass(frozen=True)
@@ -499,11 +645,42 @@ class RangeSummary:
     mismatches: int
 
 
+def _summary(sweep: _LengthSweep) -> RangeSummary:
+    import numpy as np
+
+    minvm, nearest_count = sweep.minima.minvm, sweep.minima.nearest_count
+    lo = 1 << (sweep.n - 1)
+    max_minvm = int(minvm.max())
+    argmax = np.flatnonzero(minvm == max_minvm)
+    strong = strong_watermark_of(sweep.n)
+    strong_in_argmax = bool(minvm[strong - lo] == max_minvm)
+    return RangeSummary(
+        n=sweep.n,
+        count=len(minvm),
+        max_minvm=max_minvm,
+        argmax=tuple((argmax + lo).tolist()),
+        strong=strong,
+        strong_in_argmax=strong_in_argmax,
+        strong_has_min_nearest=(
+            strong_in_argmax and bool(nearest_count[strong - lo] == nearest_count[argmax].min())
+        ),
+        argmax_unique=len(argmax) == 1,
+        mismatches=int(np.count_nonzero(~sweep.agreement)),
+    )
+
+
 @dataclass(frozen=True)
 class TheoremVerification:
-    reports: tuple[ResilienceReport, ...]
+    """A sweep's summaries and mismatch reports.  ``reports`` is built
+    from the sweep's per-length arrays on first access."""
+
     summaries: tuple[RangeSummary, ...]
     mismatches: tuple[ResilienceReport, ...]
+    _sweeps: tuple[_LengthSweep, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def reports(self) -> tuple[ResilienceReport, ...]:
+        return tuple(report for sweep in self._sweeps for report in sweep.reports())
 
     @property
     def ok(self) -> bool:
@@ -536,49 +713,15 @@ def verify_theorem(
     if n_max < n_min:
         raise WatermarkDomainError(f"empty bit-length range {n_min}..{n_max}")
     _require_within_cap(n_max, cap)
-    _require_table_fits(n_max)  # the largest table, refused before any sweep work
+    _require_tables_fit(n_min, n_max)  # every table the sweep keeps, before any work
 
-    all_reports: list[ResilienceReport] = []
-    summaries: list[RangeSummary] = []
-    mismatches: list[ResilienceReport] = []
+    sweeps = []
     for n in range(n_min, n_max + 1):
-        lo = 1 << (n - 1)
-        reports = _length_reports(n)
-        rows = _encoded_range(n)
-        for report in reports:
-            for neighbor, cost, rule in _proof_neighbors(report.w, n, report.shape):
-                if neighbor.bit_length() != n or neighbor == report.w:
-                    raise InternalInvariantError(
-                        f"witness {neighbor} of w={report.w} ({rule}) leaves the bit-length range"
-                    )
-                measured = int((rows[report.w - lo] != rows[neighbor - lo]).sum())
-                if measured != cost:
-                    raise InternalInvariantError(
-                        f"witness {neighbor} of w={report.w} ({rule}) predicted cost "
-                        f"{cost} but measures {measured}"
-                    )
-        n_mismatches = [r for r in reports if r.agreement is False]
-        mismatches.extend(n_mismatches)
-        max_minvm = max(r.minvm_oracle for r in reports)
-        argmax_reports = [r for r in reports if r.minvm_oracle == max_minvm]
-        argmax = tuple(r.w for r in argmax_reports)
-        strong = strong_watermark_of(n)
-        min_nearest = min(len(r.nearest) for r in argmax_reports)
-        strong_report = next((r for r in argmax_reports if r.w == strong), None)
-        summaries.append(
-            RangeSummary(
-                n=n,
-                count=len(reports),
-                max_minvm=max_minvm,
-                argmax=argmax,
-                strong=strong,
-                strong_in_argmax=strong_report is not None,
-                strong_has_min_nearest=(
-                    strong_report is not None and len(strong_report.nearest) == min_nearest
-                ),
-                argmax_unique=len(argmax) == 1,
-                mismatches=len(n_mismatches),
-            )
-        )
-        all_reports.extend(reports)
-    return TheoremVerification(tuple(all_reports), tuple(summaries), tuple(mismatches))
+        sweep = _sweep_length(n)
+        _check_witnesses(sweep)
+        sweeps.append(sweep)
+    return TheoremVerification(
+        tuple(_summary(sweep) for sweep in sweeps),
+        tuple(report for sweep in sweeps for report in sweep.mismatches()),
+        tuple(sweeps),
+    )

@@ -1,0 +1,100 @@
+"""Reference per-watermark sweep for the differential tests.
+
+The sweep as it ran before it became columnar: one
+``ResilienceReport`` per watermark built in a Python loop, one
+distance per constructive witness, and summaries reduced from the
+reports.  It takes each row's ``(minVM, nearest)`` from the join and
+the rules from ``_closed_form``, ``_strength`` and ``_proof_neighbors``,
+so it differs from ``verify_theorem`` and ``survey_range`` only in how
+the rows are put together.
+"""
+
+from wrpg import resilience
+from wrpg.errors import InternalInvariantError
+from wrpg.resilience import (
+    CLOSED_FORM_MIN_BITS,
+    RangeSummary,
+    ResilienceReport,
+    strong_watermark_of,
+)
+from wrpg.sip import bit_shape
+
+
+def join_minima(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``(minVM, nearest)`` of every row of the ``n``-bit join, as
+    ``minvm_oracle`` gives it."""
+    minima = resilience._minima_by_row(n)
+    return tuple(
+        (oracle, minima.nearest_of(row)) for row, oracle in enumerate(minima.minvm.tolist())
+    )
+
+
+def report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
+    n = w.bit_length()
+    shape = bit_shape(w)
+    if n < CLOSED_FORM_MIN_BITS:
+        return ResilienceReport(w, n, shape, None, oracle, nearest, None, None)
+    closed = resilience._closed_form(shape)
+    if oracle > closed:
+        raise InternalInvariantError(
+            f"oracle minimum {oracle} exceeds closed form {closed} for w={w}; "
+            "the witness constructions are wrong"
+        )
+    return ResilienceReport(
+        w, n, shape, closed, oracle, nearest, resilience._strength(w, n, shape), oracle == closed
+    )
+
+
+def length_reports(n: int) -> tuple[ResilienceReport, ...]:
+    """Reports for every watermark of bit-length ``n``, ascending."""
+    lo = 1 << (n - 1)
+    return tuple(
+        report(lo + idx, oracle, nearest)
+        for idx, (oracle, nearest) in enumerate(join_minima(n))
+    )
+
+
+def verify_theorem(n_min: int, n_max: int):
+    """``(reports, summaries, mismatches)`` of the sweep over ``n_min..n_max``."""
+    all_reports, summaries, mismatches = [], [], []
+    for n in range(n_min, n_max + 1):
+        lo = 1 << (n - 1)
+        reports = length_reports(n)
+        rows = resilience._encoded_range(n)
+        for r in reports:
+            for neighbor, cost, rule in resilience._proof_neighbors(r.w, n, r.shape):
+                if neighbor.bit_length() != n or neighbor == r.w:
+                    raise InternalInvariantError(
+                        f"witness {neighbor} of w={r.w} ({rule}) leaves the bit-length range"
+                    )
+                measured = int((rows[r.w - lo] != rows[neighbor - lo]).sum())
+                if measured != cost:
+                    raise InternalInvariantError(
+                        f"witness {neighbor} of w={r.w} ({rule}) predicted cost "
+                        f"{cost} but measures {measured}"
+                    )
+        n_mismatches = [r for r in reports if r.agreement is False]
+        mismatches.extend(n_mismatches)
+        max_minvm = max(r.minvm_oracle for r in reports)
+        argmax_reports = [r for r in reports if r.minvm_oracle == max_minvm]
+        argmax = tuple(r.w for r in argmax_reports)
+        strong = strong_watermark_of(n)
+        min_nearest = min(len(r.nearest) for r in argmax_reports)
+        strong_report = next((r for r in argmax_reports if r.w == strong), None)
+        summaries.append(
+            RangeSummary(
+                n=n,
+                count=len(reports),
+                max_minvm=max_minvm,
+                argmax=argmax,
+                strong=strong,
+                strong_in_argmax=strong_report is not None,
+                strong_has_min_nearest=(
+                    strong_report is not None and len(strong_report.nearest) == min_nearest
+                ),
+                argmax_unique=len(argmax) == 1,
+                mismatches=len(n_mismatches),
+            )
+        )
+        all_reports.extend(reports)
+    return tuple(all_reports), tuple(summaries), tuple(mismatches)

@@ -158,6 +158,22 @@ def test_oracle_above_the_closed_form_is_an_internal_error(workdir, capsys, monk
     )
 
 
+def test_oracle_above_the_closed_form_in_a_sweep_is_an_internal_error(
+    workdir, capsys, monkeypatch
+):
+    monkeypatch.setattr(resilience, "_closed_form", lambda shape: 2)
+    assert main([
+        "verify-theorem", "--bits-min", "4", "--bits-max", "5", "--out", "rows.csv",
+    ]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: oracle minimum 3 exceeds closed form 2 for w=8; "
+        "the witness constructions are wrong\n"
+    )
+    assert not (workdir / "rows.csv").exists()
+
+
 @pytest.mark.parametrize(
     "mispriced,message",
     [

@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_sweep import join_minima
 
 import wrpg.resilience as resilience
+from wrpg.cli import main
 from wrpg.errors import (
     OutOfTheoremRange,
     ResourceBoundError,
@@ -170,6 +172,29 @@ def test_verify_theorem_refuses_an_oversized_sweep_before_any_work(monkeypatch):
     )
 
 
+def test_verify_theorem_counts_every_table_the_sweep_keeps(monkeypatch, capsys):
+    # 6 MB fits the 16-bit table with its working arrays (5,406,720
+    # bytes) but not beside the 4..15-bit tables the sweep keeps
+    # cached: 2,031,576 table bytes plus the same 4,325,376 of working
+    # arrays make 6,356,952.
+    def no_join(n):
+        raise AssertionError(f"joined bit-length {n} before refusing")
+
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 6_000_000)
+    monkeypatch.setattr(resilience, "_minima_by_row", no_join)
+    with pytest.raises(ResourceBoundError) as refused:
+        verify_theorem(4, 16, cap=16)
+    assert str(refused.value) == (
+        "the 4..16-bit tables need 2031576 bytes (plus 4325376 bytes while the largest "
+        "is built), more than the 6000000 bytes of physical memory"
+    )
+    assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "16",
+                 "--cap-override", "16"]) == 3
+    assert capsys.readouterr().out == ""
+    resilience._encoded_range.cache_clear()
+    assert resilience._encoded_range(16).nbytes == 1_081_344  # one table alone still fits
+
+
 def test_oracle_enforces_the_enumeration_cap():
     with pytest.raises(ResourceBoundError):
         minvm_oracle(1 << 14)  # 15 bits > default cap
@@ -180,7 +205,7 @@ def test_oracle_enforces_the_enumeration_cap():
 def test_join_matches_the_brute_force_oracle_on_every_small_watermark():
     for n in range(2, 13):
         lo = 1 << (n - 1)
-        minima = resilience._minima_by_row(n).minima
+        minima = join_minima(n)
         assert len(minima) == lo
         for w in range(lo, 1 << n):
             assert minima[w - lo] == minvm_oracle(w), w
@@ -189,7 +214,7 @@ def test_join_matches_the_brute_force_oracle_on_every_small_watermark():
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
 def test_join_matches_the_brute_force_oracle_on_non_weak_and_sampled_watermarks(n):
     lo = 1 << (n - 1)
-    minima = resilience._minima_by_row(n).minima
+    minima = join_minima(n)
     non_weak = [w for w in range(lo, 1 << n) if bit_shape(w).case != CASE_TWO_ZEROS]
     assert len(non_weak) == 2 * n - 2
     sample = random.Random(20181227 + n).sample(range(lo, 1 << n), 256)
