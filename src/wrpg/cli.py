@@ -17,7 +17,6 @@ from .errors import GraphFormatError, InternalInvariantError
 from .integrity import CHECK_NAMES, apply_edge_edits, classify_graph, parse_edits
 from .resilience import (
     DEFAULT_CAP,
-    REPORT_COLUMNS,
     ResilienceReport,
     _survey,
     analyze_watermark,
@@ -104,6 +103,20 @@ def _cell(value) -> str:
     return str(value)
 
 
+REPORT_COLUMNS = (
+    "n",
+    "w",
+    "shape_case",
+    "ell",
+    "r",
+    "b_n",
+    "minvm_closed",
+    "minvm_oracle",
+    "agree",
+    "nearest_count",
+    "strength",
+)
+
 # Per table format: how a value is written, one row in REPORT_COLUMNS
 # order, the text between rows, and the text before and after them.
 # A shape fills in every column but _ROW_FIELDS, which become "%s".
@@ -131,8 +144,8 @@ def _table(sweeps, table_format: str):
     """The rows of every watermark of ``sweeps`` as CSV or JSON text, a
     chunk per bit-length, straight from the arrays: each distinct shape
     fills in its columns once, each row only its own.  The bytes are
-    those of ``report_record`` over the reports, written by
-    ``csv.writer`` or ``json.dumps(..., indent=2)``."""
+    those of one record per report, ``REPORT_COLUMNS`` to its values,
+    written by ``csv.writer`` or ``json.dumps(..., indent=2)``."""
     cell, row, between, head, foot = _FORMATS[table_format]
     agree_cell = {value: cell(value) for value in (None, True, False)}
     yield head

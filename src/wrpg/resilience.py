@@ -157,18 +157,31 @@ def _physical_memory_bytes() -> int | None:
 _BUILD_CHUNK = 1 << 12
 _BUILD_CELL_BYTES = 32
 
+# A join's working arrays hold at most _JOIN_CELL_BYTES bytes per cell
+# of its table plus _JOIN_FLOOR_BYTES: twice the tracemalloc peaks of
+# _minima_by_row with its table built beforehand, 3.7-4.5 bytes per cell
+# for n = 16..19 plus at most 2 MB for the arrays of one _JOIN_CHUNK of
+# pairs, which are most of the peak below n = 16.
+_JOIN_CELL_BYTES = 8
+_JOIN_FLOOR_BYTES = 4 << 20
+
 
 def _table_bytes(n: int) -> int:
     return (1 << (n - 1)) * (2 * n + 1)
 
 
-def _require_tables_fit(n_min: int, n_max: int) -> None:
+def _join_bytes(n: int) -> int:
+    return _table_bytes(n) * _JOIN_CELL_BYTES + _JOIN_FLOOR_BYTES
+
+
+def _require_tables_fit(n_min: int, n_max: int, join: bool = False) -> None:
     """Raise :class:`ResourceBoundError` when the tables of bit-lengths
     ``n_min..n_max`` and one chunk's working arrays for the largest
-    would not fit in physical memory.  :func:`_encoded_range` keeps every
-    table it builds, so a sweep holds all of them at once.  The largest
-    table alone is checked first, so a single table is refused with its
-    own figures."""
+    would not fit in physical memory, or, with ``join``, the tables and
+    the join's working arrays for the largest.  :func:`_encoded_range`
+    keeps every table it builds, so a sweep holds all of them at once.
+    The largest table alone is checked first, so a single table is
+    refused with its own figures."""
     physical = _physical_memory_bytes()
     if physical is None:
         return
@@ -185,6 +198,12 @@ def _require_tables_fit(n_min: int, n_max: int) -> None:
             f"the {n_min}..{n_max}-bit tables need {held_bytes} bytes (plus {work_bytes} "
             f"bytes while the largest is built), more than the {physical} bytes of "
             "physical memory"
+        )
+    join_bytes = _join_bytes(n_max)
+    if join and held_bytes + join_bytes > physical:
+        raise ResourceBoundError(
+            f"the {n_max}-bit join needs {join_bytes} bytes beside {held_bytes} bytes of "
+            f"tables, more than the {physical} bytes of physical memory"
         )
 
 
@@ -298,17 +317,6 @@ _JOIN_RADIUS = 3
 _JOIN_CHUNK = 1 << 14  # candidate pairs, or rows of witnesses, checked at once
 
 
-def _group_key(rows: np.ndarray, columns: range) -> np.ndarray:
-    """Dense id of each row's values on ``columns``: equal ids, equal values."""
-    import numpy as np
-
-    key = np.zeros(len(rows), dtype=np.int64)
-    base = int(rows.max()) + 1
-    for c in columns:
-        _, key = np.unique(key * base + rows[:, c], return_inverse=True)
-    return key.astype(np.int32)
-
-
 @dataclass(frozen=True, eq=False)
 class _LengthMinima:
     """The oracle's ``minVM`` of every row of one bit-length's table and
@@ -341,24 +349,32 @@ def _minima_by_row(n: int) -> _LengthMinima:
     every pair within the radius, hence every row's whole nearest set
     when its minimum lies within it.  A pair is verified only in the
     first group it shares, in chunks of ``_JOIN_CHUNK``, and only pairs
-    within the radius are kept.  Rows with no neighbour within the
-    radius get :func:`_scan_row`.
+    within the radius are kept.  Each group's buckets come from one
+    lexsort over its columns.  Each row's minimum is taken over its kept
+    pairs in one pass; rows left above the radius get :func:`_scan_row`.
     """
     import numpy as np
 
     rows = _encoded_range(n)
     lo, count = 1 << (n - 1), len(rows)
     groups = [range(g, rows.shape[1], _JOIN_RADIUS + 1) for g in range(_JOIN_RADIUS + 1)]
-    keys = np.stack([_group_key(rows, columns) for columns in groups])
+    bucket_ids = []  # per group done, each row's bucket id
     kept_a, kept_b = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     kept_d = [np.empty(0, np.uint8)]
     verified = 0
-    for g in range(len(groups)):
-        order = np.argsort(keys[g], kind="stable").astype(np.int32)
-        sorted_key = keys[g][order]
+    for columns in groups:
+        # One sort makes equal rows adjacent; a bucket opens wherever a
+        # sorted row differs from the one before it.
+        keys = rows[:, columns]
+        order = np.lexsort(keys.T).astype(np.int32)
+        keys = keys[order]
+        opens = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+        del keys
+        ids = np.empty(count, np.int32)
+        ids[order] = np.cumsum(opens) - 1
         # Sorted position p pairs with positions p+1 .. end of its bucket;
         # pair number f of the group is (p, p + 1 + f - before[p]).
-        starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+        starts = np.flatnonzero(opens)
         ends = np.repeat(np.r_[starts[1:], count], np.diff(np.r_[starts, count]))
         through = np.cumsum(ends - np.arange(count) - 1)
         before, total = np.r_[0, through[:-1]], int(through[-1])
@@ -366,8 +382,8 @@ def _minima_by_row(n: int) -> _LengthMinima:
             flat = np.arange(first, min(first + _JOIN_CHUNK, total))
             p = np.searchsorted(through, flat, side="right")
             a, b = order[p], order[p + 1 + flat - before[p]]
-            if g:
-                fresh = (keys[:g, a] != keys[:g, b]).all(axis=0)
+            for earlier in bucket_ids:
+                fresh = earlier[a] != earlier[b]
                 a, b = a[fresh], b[fresh]
             verified += len(a)
             d = np.count_nonzero(rows[a] != rows[b], axis=1)
@@ -375,23 +391,22 @@ def _minima_by_row(n: int) -> _LengthMinima:
             kept_a.append(a[near])
             kept_b.append(b[near])
             kept_d.append(d[near].astype(np.uint8))
-    a, b, d = kept_a + kept_b, kept_b + kept_a, kept_d + kept_d
-    reached = np.zeros(count, dtype=bool)
-    for part in a:
-        reached[part] = True
-    scanned = np.flatnonzero(~reached)
+        bucket_ids.append(ids)
+    a, b = np.concatenate(kept_a + kept_b), np.concatenate(kept_b + kept_a)
+    d = np.concatenate(kept_d + kept_d)
+    minvm = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
+    np.minimum.at(minvm, a, d)
+    minimal = d == minvm[a]
+    a, b = [a[minimal]], [b[minimal]]
+    scanned = np.flatnonzero(minvm > _JOIN_RADIUS)  # no neighbour within the radius
     for idx in scanned.tolist():
-        best, nearest = _scan_row(rows, idx, lo)
+        minvm[idx], nearest = _scan_row(rows, idx, lo)
         a.append(np.full(len(nearest), idx, dtype=np.int32))
         b.append(np.array(nearest, dtype=np.int64) - lo)
-        d.append(np.full(len(nearest), best, dtype=np.uint8))
-    a, b, d = (np.concatenate(parts) for parts in (a, b, d))
-    by_row = np.lexsort((b, d, a))  # by row, then distance, then neighbour
-    a, b, d = a[by_row], b[by_row], d[by_row]
-    minvm = d[np.searchsorted(a, np.arange(count))]  # each row's first entry
-    minimal = d == minvm[a]
-    offsets = np.searchsorted(a[minimal], np.arange(count + 1))
-    nearest = b[minimal].astype(np.int64) + lo
+    a, b = np.concatenate(a), np.concatenate(b)
+    by_row = np.lexsort((b, a))
+    offsets = np.searchsorted(a[by_row], np.arange(count + 1))
+    nearest = b[by_row].astype(np.int64) + lo
     return _LengthMinima(minvm, offsets, nearest, verified, len(scanned))
 
 
@@ -563,8 +578,6 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
             for w, s in zip(range(lo + start, 2 * lo), shape_ids)
             for neighbor, cost, rule in _proof_neighbors(w, n, sweep.shapes[s])
         ]
-        if not found:
-            continue
         w, neighbor, cost = (np.array(column) for column in tuple(zip(*found))[:3])
         outside = (neighbor >> (n - 1) != 1) | (neighbor == w)
         other = (np.where(outside, w, neighbor) - lo).astype(np.intp)
@@ -583,45 +596,12 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
             )
 
 
-REPORT_COLUMNS = (
-    "n",
-    "w",
-    "shape_case",
-    "ell",
-    "r",
-    "b_n",
-    "minvm_closed",
-    "minvm_oracle",
-    "agree",
-    "nearest_count",
-    "strength",
-)
-
-
-def report_record(report: ResilienceReport) -> dict[str, object]:
-    """Flatten a report into the row that ``survey`` and ``verify-theorem``
-    write for it."""
-    shape = report.shape
-    return {
-        "n": report.n,
-        "w": report.w,
-        "shape_case": shape.case,
-        "ell": shape.ell,
-        "r": shape.r,
-        "b_n": shape.last_bit,
-        "minvm_closed": report.minvm_closed,
-        "minvm_oracle": report.minvm_oracle,
-        "agree": report.agreement,
-        "nearest_count": len(report.nearest),
-        "strength": report.strength,
-    }
-
-
 def _survey(n: int, cap: int) -> _LengthSweep:
     _require_int(n, "bit-length")
     if n < 2:
         raise WatermarkDomainError(f"bit-length must be >= 2, got {n}")
     _require_within_cap(n, cap)
+    _require_tables_fit(n, n, join=True)
     return _sweep_length(n)
 
 
@@ -713,7 +693,7 @@ def verify_theorem(
     if n_max < n_min:
         raise WatermarkDomainError(f"empty bit-length range {n_min}..{n_max}")
     _require_within_cap(n_max, cap)
-    _require_tables_fit(n_min, n_max)  # every table the sweep keeps, before any work
+    _require_tables_fit(n_min, n_max, join=True)  # every table the sweep keeps, and the join
 
     sweeps = []
     for n in range(n_min, n_max + 1):

@@ -7,7 +7,15 @@ reports.  It takes each row's ``(minVM, nearest)`` from the join and
 the rules from ``_closed_form``, ``_strength`` and ``_proof_neighbors``,
 so it differs from ``verify_theorem`` and ``survey_range`` only in how
 the rows are put together.
+
+Also the table writer as it ran before the CLI wrote its tables
+straight from the sweep's arrays: one record per report, written by
+``csv.writer`` or ``json.dumps``.
 """
+
+import csv
+import io
+import json
 
 from wrpg import resilience
 from wrpg.errors import InternalInvariantError
@@ -98,3 +106,45 @@ def verify_theorem(n_min: int, n_max: int):
         )
         all_reports.extend(reports)
     return tuple(all_reports), tuple(summaries), tuple(mismatches)
+
+
+def report_record(report: ResilienceReport) -> dict[str, object]:
+    """Flatten a report into the row that ``survey`` and ``verify-theorem``
+    write for it."""
+    shape = report.shape
+    return {
+        "n": report.n,
+        "w": report.w,
+        "shape_case": shape.case,
+        "ell": shape.ell,
+        "r": shape.r,
+        "b_n": shape.last_bit,
+        "minvm_closed": report.minvm_closed,
+        "minvm_oracle": report.minvm_oracle,
+        "agree": report.agreement,
+        "nearest_count": len(report.nearest),
+        "strength": report.strength,
+    }
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def rows_csv(reports) -> str:
+    """The CSV table of ``reports``, as ``--format csv`` writes it."""
+    records = [report_record(report) for report in reports]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(records[0])  # the column names
+    writer.writerows([_cell(value) for value in record.values()] for record in records)
+    return buffer.getvalue()
+
+
+def rows_json(reports) -> str:
+    """The JSON table of ``reports``, as ``--format json`` writes it."""
+    return json.dumps([report_record(report) for report in reports], indent=2) + "\n"

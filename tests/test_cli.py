@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -7,8 +8,10 @@ import pytest
 
 import wrpg.resilience as resilience
 from wrpg.cli import main
-from wrpg.rpg import load_graph
-from wrpg.sip import bit_shape
+from wrpg.errors import GraphFormatError, SipInvariantError
+from wrpg.integrity import EdgeEdit, apply_edge_edits
+from wrpg.rpg import ReduciblePermutationGraph, graph_to_json, load_graph
+from wrpg.sip import SelfInvertingPermutation, bit_shape
 
 ENCODED_12 = (
     '{"version": 1, "n": 4, "nstar": 9, '
@@ -145,6 +148,54 @@ def test_analyze_rejects_a_table_beyond_physical_memory(workdir, capsys):
     err = capsys.readouterr().err
     assert f"error: the 41-bit table needs {(1 << 40) * 83} bytes" in err
     assert "bytes of physical memory" in err
+
+
+def decode_a_binary_file(workdir, monkeypatch):
+    (workdir / "binary.json").write_bytes(b"\xff\xfe{}")
+    return main(["decode", "binary.json"])
+
+
+def analyze_without_a_memory_figure(workdir, monkeypatch):
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: None)
+    resilience._encoded_range.cache_clear()
+    code = main(["analyze", "27"])
+    assert resilience._encoded_range.cache_info().currsize == 1  # the table was built
+    return code
+
+
+ANALYZE_27 = (
+    "w=27 n=5 case=Case2 ell=1 r=1 last_bit=1\nminvm_closed=5\nminvm_oracle=5\n"
+    "agreement=true\nnearest=26,29,30\nnearest_count=3\nstrength=Strong\n"
+)
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda *_: apply_edge_edits(ReduciblePermutationGraph((4, 4, 4)), [EdgeEdit(1, 2.5)]),
+         GraphFormatError),
+        (lambda *_: ReduciblePermutationGraph(()), GraphFormatError),
+        (lambda *_: graph_to_json(ReduciblePermutationGraph((2, 3))), GraphFormatError),
+        (lambda *_: SelfInvertingPermutation.from_one_line("1 x 3"), SipInvariantError),
+        (decode_a_binary_file, (3, "", r"error: binary\.json is not a text file: [^\n]*\n")),
+        (analyze_without_a_memory_figure, (0, ANALYZE_27, "")),
+    ],
+    ids=["float-target", "no-nodes", "even-node-count", "non-integer-element",
+         "non-text-file", "unknown-physical-memory"],
+)
+def test_rarely_reached_branches(workdir, capsys, monkeypatch, call, outcome):
+    """Branches no other test reaches: a library call raises its
+    documented error; a command exits with its code, its stdout, and a
+    stderr that matches the pattern, so never a traceback."""
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call(workdir, monkeypatch)
+        return
+    code, out, err = outcome
+    assert call(workdir, monkeypatch) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert re.fullmatch(err, captured.err)
 
 
 def test_oracle_above_the_closed_form_is_an_internal_error(workdir, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import tracemalloc
@@ -193,6 +194,72 @@ def test_verify_theorem_counts_every_table_the_sweep_keeps(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
     resilience._encoded_range.cache_clear()
     assert resilience._encoded_range(16).nbytes == 1_081_344  # one table alone still fits
+
+
+def test_join_memory_estimate_covers_the_join():
+    for n in range(4, 17):
+        resilience._encoded_range(n)  # the tables are counted on their own
+        tracemalloc.start()
+        try:
+            resilience._minima_by_row(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= resilience._join_bytes(n), n
+
+
+@pytest.mark.parametrize(
+    "argv, held",
+    [
+        (["verify-theorem", "--bits-min", "4", "--bits-max", "16"], 2_031_576),
+        (["survey", "--bits", "16"], 1_081_344),
+    ],
+    ids=["verify-theorem", "survey"],
+)
+def test_sweeps_count_the_join_before_any_work(monkeypatch, capsys, argv, held):
+    # 10 MB fits the tables with the 4,325,376 bytes of one build chunk
+    # (6,356,952 for 4..16, 5,406,720 for 16 alone) but not beside the
+    # 16-bit join's 12,845,056
+    def no_join(n):
+        raise AssertionError(f"joined bit-length {n} before refusing")
+
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 10_000_000)
+    monkeypatch.setattr(resilience, "_minima_by_row", no_join)
+    message = (
+        f"the 16-bit join needs 12845056 bytes beside {held} bytes of tables, "
+        "more than the 10000000 bytes of physical memory"
+    )
+    if argv[0] == "verify-theorem":
+        with pytest.raises(ResourceBoundError) as refused:
+            verify_theorem(4, 16, cap=16)
+        assert str(refused.value) == message
+    assert main(argv + ["--cap-override", "16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# The join's work, (pairs_verified, full_scans) for n = 2..16, and one
+# sha256 over its minvm, offsets and nearest arrays, as the join first
+# computed them (one np.unique key per group and column).
+JOIN_WORK = (
+    (1, 0), (6, 2), (10, 6), (22, 8), (76, 10), (287, 12), (564, 14), (1468, 16),
+    (4776, 18), (13403, 20), (28058, 22), (65881, 24), (189298, 26), (541058, 28),
+    (1101500, 30),
+)
+JOIN_RESULT_SHA256 = "6e18fa6a673211ce0bd93723e4f615c468f1e083574245ba2fe07fe3c0a8cc44"
+
+
+def test_join_work_and_result_are_pinned():
+    digest = hashlib.sha256()
+    for n, work in zip(range(2, 17), JOIN_WORK):
+        minima = resilience._minima_by_row(n)
+        assert (minima.pairs_verified, minima.full_scans) == work, n
+        arrays = (minima.minvm, minima.offsets, minima.nearest)
+        for array, dtype in zip(arrays, ("<u1", "<i8", "<i8")):
+            assert array.dtype == np.dtype(dtype), n
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == JOIN_RESULT_SHA256
 
 
 def test_oracle_enforces_the_enumeration_cap():

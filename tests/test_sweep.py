@@ -1,16 +1,20 @@
-"""The columnar sweep against the per-watermark reference in
-``reference_sweep.py``, and a work count that keeps the sweep's
-per-row Python from growing back."""
+"""The columnar sweep and the CLI's tables against the per-watermark
+reference in ``reference_sweep.py``, and a work count that keeps the
+sweep's per-row Python from growing back."""
 
 from collections import Counter
 
 import pytest
 import reference_sweep
+from reference_sweep import report_record
 
 import wrpg.resilience as resilience
+from wrpg.cli import main
 from wrpg.errors import InternalInvariantError
-from wrpg.resilience import report_record, survey_range, verify_theorem
+from wrpg.resilience import survey_range, verify_theorem
 from wrpg.sip import bit_shape
+
+WRITERS = {"csv": reference_sweep.rows_csv, "json": reference_sweep.rows_json}
 
 
 @pytest.mark.parametrize("n", range(2, 15))
@@ -28,6 +32,22 @@ def test_verify_theorem_matches_the_per_watermark_reference():
     assert result.reports == reports
     assert result.summaries == summaries
     assert result.mismatches == mismatches == ()
+
+
+@pytest.mark.parametrize("table_format", sorted(WRITERS))
+@pytest.mark.parametrize("n", range(2, 15))
+def test_survey_table_matches_the_reference_writer(capsys, n, table_format):
+    assert main(["survey", "--bits", str(n), "--format", table_format]) == 0
+    assert capsys.readouterr().out == WRITERS[table_format](survey_range(n))
+
+
+@pytest.mark.parametrize("table_format", sorted(WRITERS))
+def test_verify_theorem_table_matches_the_reference_writer(tmp_path, capsys, table_format):
+    out = tmp_path / f"rows.{table_format}"
+    argv = ["verify-theorem", "--bits-min", "4", "--bits-max", "12", "--format", table_format]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("verified 4088 watermarks: OK\n")
+    assert out.read_text() == WRITERS[table_format](verify_theorem(4, 12).reports)
 
 
 def test_verify_theorem_mismatches_match_the_per_watermark_reference(monkeypatch):
