@@ -32,6 +32,7 @@ that build and search the table: the codec commands never load it.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -170,44 +171,35 @@ def _table_bytes(n: int) -> int:
     return (1 << (n - 1)) * (2 * n + 1)
 
 
+def _build_bytes(n: int) -> int:
+    return min(1 << (n - 1), _BUILD_CHUNK) * (2 * n + 1) * _BUILD_CELL_BYTES
+
+
 def _join_bytes(n: int) -> int:
     return _table_bytes(n) * _JOIN_CELL_BYTES + _JOIN_FLOOR_BYTES
 
 
-def _require_tables_fit(n_min: int, n_max: int, join: bool = False) -> None:
-    """Raise :class:`ResourceBoundError` when the tables of bit-lengths
-    ``n_min..n_max`` and one chunk's working arrays for the largest
-    would not fit in physical memory, or, with ``join``, the tables and
-    the join's working arrays for the largest.  :func:`_encoded_range`
-    keeps every table it builds, so a sweep holds all of them at once.
-    The largest table alone is checked first, so a single table is
-    refused with its own figures."""
+def _require_fits(n: int, work_bytes: Callable[[int], int]) -> None:
+    """Raise :class:`ResourceBoundError` when the ``n``-bit table plus
+    ``work_bytes(n)`` bytes of working arrays would not fit in physical
+    memory, or in a 64-bit address space when its size is unknown.  A
+    table with at least as many rows as that has bytes is refused before
+    its figures are computed, and they are printed only below 2^63 rows,
+    so a huge ``n`` builds no huge integer."""
     physical = _physical_memory_bytes()
-    if physical is None:
+    limit = (1 << 63) - 1 if physical is None else physical
+    if n - 1 < limit.bit_length() and _table_bytes(n) + work_bytes(n) <= limit:
         return
-    table_bytes = _table_bytes(n_max)
-    work_bytes = min(1 << (n_max - 1), _BUILD_CHUNK) * (2 * n_max + 1) * _BUILD_CELL_BYTES
-    held_bytes = sum(_table_bytes(n) for n in range(n_min, n_max + 1))
-    if table_bytes + work_bytes > physical:
-        raise ResourceBoundError(
-            f"the {n_max}-bit table needs {table_bytes} bytes (plus {work_bytes} bytes "
-            f"while it is built), more than the {physical} bytes of physical memory"
-        )
-    if held_bytes + work_bytes > physical:
-        raise ResourceBoundError(
-            f"the {n_min}..{n_max}-bit tables need {held_bytes} bytes (plus {work_bytes} "
-            f"bytes while the largest is built), more than the {physical} bytes of "
-            "physical memory"
-        )
-    join_bytes = _join_bytes(n_max)
-    if join and held_bytes + join_bytes > physical:
-        raise ResourceBoundError(
-            f"the {n_max}-bit join needs {join_bytes} bytes beside {held_bytes} bytes of "
-            f"tables, more than the {physical} bytes of physical memory"
-        )
+    needs = f"2^{n - 1} rows"
+    if n - 1 < 63:
+        needs = f"{_table_bytes(n)} bytes plus {work_bytes(n)} bytes of working arrays"
+    memory = "a 64-bit address space"
+    if physical is not None:
+        memory = f"the {physical} bytes of physical memory"
+    raise ResourceBoundError(f"the {n}-bit table needs {needs}, more than {memory}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _encoded_range(n: int) -> np.ndarray:
     """Back-edge rows for every watermark of bit-length ``n``, ascending.
 
@@ -215,13 +207,15 @@ def _encoded_range(n: int) -> np.ndarray:
     ``dmax_map(encode_w_to_sip(w)[0].elements)``, built by
     :func:`_domination_maps` a chunk of rows at a time.  The table is
     ``uint8``: its values are at most ``2n + 2``, which fits at every
-    bit-length whose table could be allocated.  Raises
+    bit-length whose table could be allocated.  Only the latest table
+    is kept: a miss releases the held one before it builds.  Raises
     :class:`ResourceBoundError` before allocating when the table and
     one chunk's working arrays would not fit in physical memory.
     """
     import numpy as np
 
-    _require_tables_fit(n, n)
+    _encoded_range.cache_clear()
+    _require_fits(n, _build_bytes)
     count, width = 1 << (n - 1), 2 * n + 1
     rows = np.empty((count, width), dtype=np.uint8)
     for start in range(0, count, _BUILD_CHUNK):
@@ -601,7 +595,7 @@ def _survey(n: int, cap: int) -> _LengthSweep:
     if n < 2:
         raise WatermarkDomainError(f"bit-length must be >= 2, got {n}")
     _require_within_cap(n, cap)
-    _require_tables_fit(n, n, join=True)
+    _require_fits(n, _join_bytes)
     return _sweep_length(n)
 
 
@@ -693,7 +687,7 @@ def verify_theorem(
     if n_max < n_min:
         raise WatermarkDomainError(f"empty bit-length range {n_min}..{n_max}")
     _require_within_cap(n_max, cap)
-    _require_tables_fit(n_min, n_max, join=True)  # every table the sweep keeps, and the join
+    _require_fits(n_max, _join_bytes)  # covers every smaller table, build and join
 
     sweeps = []
     for n in range(n_min, n_max + 1):

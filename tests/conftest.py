@@ -15,3 +15,12 @@ def subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+@pytest.fixture(autouse=True)
+def no_held_table():
+    """Release the oracle table an earlier test left behind, so no test
+    depends on which tests ran before it."""
+    from wrpg.resilience import _encoded_range
+
+    _encoded_range.cache_clear()

@@ -8,7 +8,7 @@ import pytest
 
 import wrpg.resilience as resilience
 from wrpg.cli import main
-from wrpg.errors import GraphFormatError, SipInvariantError
+from wrpg.errors import GraphFormatError, ResourceBoundError, SipInvariantError
 from wrpg.integrity import EdgeEdit, apply_edge_edits
 from wrpg.rpg import ReduciblePermutationGraph, graph_to_json, load_graph
 from wrpg.sip import SelfInvertingPermutation, bit_shape
@@ -157,10 +157,14 @@ def decode_a_binary_file(workdir, monkeypatch):
 
 def analyze_without_a_memory_figure(workdir, monkeypatch):
     monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: None)
-    resilience._encoded_range.cache_clear()
     code = main(["analyze", "27"])
     assert resilience._encoded_range.cache_info().currsize == 1  # the table was built
     return code
+
+
+def survey_without_a_memory_figure(workdir, monkeypatch):
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: None)
+    return main(["survey", "--bits", "64", "--cap-override", "64"])
 
 
 ANALYZE_27 = (
@@ -179,9 +183,15 @@ ANALYZE_27 = (
         (lambda *_: SelfInvertingPermutation.from_one_line("1 x 3"), SipInvariantError),
         (decode_a_binary_file, (3, "", r"error: binary\.json is not a text file: [^\n]*\n")),
         (analyze_without_a_memory_figure, (0, ANALYZE_27, "")),
+        (survey_without_a_memory_figure,
+         (3, "", r"error: the 64-bit table needs 2\^63 rows, more than a 64-bit address space\n")),
+        (lambda *_: resilience.survey_range(10**5, cap=10**5), ResourceBoundError),
+        (lambda *_: resilience.verify_theorem(4, 10**5, cap=10**5), ResourceBoundError),
+        (lambda *_: resilience.minvm_oracle(1 << 20000, cap=20001), ResourceBoundError),
     ],
     ids=["float-target", "no-nodes", "even-node-count", "non-integer-element",
-         "non-text-file", "unknown-physical-memory"],
+         "non-text-file", "unknown-physical-memory", "huge-table-unknown-memory",
+         "huge-survey", "huge-verify-theorem", "huge-oracle"],
 )
 def test_rarely_reached_branches(workdir, capsys, monkeypatch, call, outcome):
     """Branches no other test reaches: a library call raises its
@@ -285,9 +295,28 @@ def test_survey_below_theorem_range_leaves_closed_columns_blank(workdir, capsys)
     assert row5[7] == "4"  # oracle still runs
 
 
+# Bit-lengths whose tables could never be built: their byte counts are
+# too long to print, or too large to compute at all.
+HUGE_BITS = ("100000", "100000000000")
+
+
+def assert_refused_huge_table(capsys, bits: str) -> None:
+    """Refused with the table's row count, never a traceback or a figure."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        rf"error: the {bits}-bit table needs 2\^{int(bits) - 1} rows, more than [^\n]*\n",
+        captured.err,
+    )
+
+
 def test_survey_rejects_bad_bits(workdir, capsys):
     assert main(["survey", "--bits", "1"]) == 3
     assert main(["survey", "--bits", "15"]) == 3
+    for bits in HUGE_BITS:
+        capsys.readouterr()
+        assert main(["survey", "--bits", bits, "--cap-override", bits]) == 3
+        assert_refused_huge_table(capsys, bits)
 
 
 def test_verify_theorem_ok(workdir, capsys):
@@ -329,10 +358,15 @@ def test_sweep_output_bytes_are_pinned(workdir, capsys):
     )
 
 
-def test_verify_theorem_rejects_bad_ranges(workdir):
+def test_verify_theorem_rejects_bad_ranges(workdir, capsys):
     assert main(["verify-theorem", "--bits-min", "3", "--bits-max", "5"]) == 3
     assert main(["verify-theorem", "--bits-min", "6", "--bits-max", "5"]) == 3
     assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "20"]) == 3
+    for bits in HUGE_BITS:
+        argv = ["verify-theorem", "--bits-min", "4", "--bits-max", bits, "--cap-override", bits]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert_refused_huge_table(capsys, bits)
 
 
 def test_verify_theorem_reports_mismatches_with_exit_4(workdir, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -133,7 +134,6 @@ def test_vectorised_table_matches_the_codec_on_every_row():
 
 def test_table_memory_estimate_counts_the_working_arrays(monkeypatch):
     n, width = 16, 33
-    resilience._encoded_range.cache_clear()
     monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 0)
     with pytest.raises(ResourceBoundError) as refused:
         resilience._encoded_range(n)
@@ -158,8 +158,9 @@ def test_table_memory_estimate_counts_the_working_arrays(monkeypatch):
 
 
 def test_verify_theorem_refuses_an_oversized_sweep_before_any_work(monkeypatch):
-    # 5 MB fits the 15-bit table (4,571,136 bytes with its working
-    # arrays) but not the 16-bit one (5,406,720)
+    # 5 MB fits neither the 16-bit table's build (5,406,720 bytes with
+    # one chunk's working arrays) nor its join (13,926,400); the sweep
+    # checks the join's budget before it builds anything
     def no_join(n):
         raise AssertionError(f"joined bit-length {n} before refusing")
 
@@ -168,37 +169,29 @@ def test_verify_theorem_refuses_an_oversized_sweep_before_any_work(monkeypatch):
     with pytest.raises(ResourceBoundError) as refused:
         verify_theorem(4, 16, cap=16)
     assert str(refused.value) == (
-        "the 16-bit table needs 1081344 bytes (plus 4325376 bytes while it is built), "
+        "the 16-bit table needs 1081344 bytes plus 12845056 bytes of working arrays, "
         "more than the 5000000 bytes of physical memory"
     )
 
 
-def test_verify_theorem_counts_every_table_the_sweep_keeps(monkeypatch, capsys):
-    # 6 MB fits the 16-bit table with its working arrays (5,406,720
-    # bytes) but not beside the 4..15-bit tables the sweep keeps
-    # cached: 2,031,576 table bytes plus the same 4,325,376 of working
-    # arrays make 6,356,952.
-    def no_join(n):
-        raise AssertionError(f"joined bit-length {n} before refusing")
+def test_the_process_holds_one_table():
+    old = weakref.ref(resilience._encoded_range(17))
+    survey_range(16, cap=16)
+    assert old() is None  # released, not merely evicted from the cache
+    assert resilience._encoded_range.cache_info().currsize == 1
+    verify_theorem(4, 12)
+    assert resilience._encoded_range.cache_info().currsize == 1
 
-    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 6_000_000)
-    monkeypatch.setattr(resilience, "_minima_by_row", no_join)
-    with pytest.raises(ResourceBoundError) as refused:
-        verify_theorem(4, 16, cap=16)
-    assert str(refused.value) == (
-        "the 4..16-bit tables need 2031576 bytes (plus 4325376 bytes while the largest "
-        "is built), more than the 6000000 bytes of physical memory"
-    )
-    assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "16",
-                 "--cap-override", "16"]) == 3
-    assert capsys.readouterr().out == ""
-    resilience._encoded_range.cache_clear()
-    assert resilience._encoded_range(16).nbytes == 1_081_344  # one table alone still fits
+
+def test_the_join_budget_covers_every_build():
+    # so verify_theorem's one check at n_max covers each smaller build
+    for n in range(2, 64):
+        assert resilience._join_bytes(n) >= resilience._build_bytes(n), n
 
 
 def test_join_memory_estimate_covers_the_join():
     for n in range(4, 17):
-        resilience._encoded_range(n)  # the tables are counted on their own
+        resilience._encoded_range(n)  # the table is counted on its own
         tracemalloc.start()
         try:
             resilience._minima_by_row(n)
@@ -209,34 +202,32 @@ def test_join_memory_estimate_covers_the_join():
 
 
 @pytest.mark.parametrize(
-    "argv, held",
-    [
-        (["verify-theorem", "--bits-min", "4", "--bits-max", "16"], 2_031_576),
-        (["survey", "--bits", "16"], 1_081_344),
-    ],
+    "argv",
+    [["verify-theorem", "--bits-min", "4", "--bits-max", "16"], ["survey", "--bits", "16"]],
     ids=["verify-theorem", "survey"],
 )
-def test_sweeps_count_the_join_before_any_work(monkeypatch, capsys, argv, held):
-    # 10 MB fits the tables with the 4,325,376 bytes of one build chunk
-    # (6,356,952 for 4..16, 5,406,720 for 16 alone) but not beside the
-    # 16-bit join's 12,845,056
+def test_sweeps_count_the_join_before_any_work(monkeypatch, capsys, argv):
+    # 10 MB fits the 16-bit table with the 4,325,376 bytes of one build
+    # chunk (5,406,720) but not with the join's 12,845,056; 5 MB fits
+    # neither, and a sweep checks only the join's budget
     def no_join(n):
         raise AssertionError(f"joined bit-length {n} before refusing")
 
-    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 10_000_000)
     monkeypatch.setattr(resilience, "_minima_by_row", no_join)
-    message = (
-        f"the 16-bit join needs 12845056 bytes beside {held} bytes of tables, "
-        "more than the 10000000 bytes of physical memory"
-    )
-    if argv[0] == "verify-theorem":
-        with pytest.raises(ResourceBoundError) as refused:
-            verify_theorem(4, 16, cap=16)
-        assert str(refused.value) == message
-    assert main(argv + ["--cap-override", "16"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    for physical in (5_000_000, 10_000_000):
+        monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda p=physical: p)
+        message = (
+            "the 16-bit table needs 1081344 bytes plus 12845056 bytes of working arrays, "
+            f"more than the {physical} bytes of physical memory"
+        )
+        if argv[0] == "verify-theorem":
+            with pytest.raises(ResourceBoundError) as refused:
+                verify_theorem(4, 16, cap=16)
+            assert str(refused.value) == message
+        assert main(argv + ["--cap-override", "16"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 # The join's work, (pairs_verified, full_scans) for n = 2..16, and one
