@@ -263,6 +263,8 @@ def _cmd_survey(args) -> int:
 
 def _cmd_verify(args) -> int:
     result = verify_theorem(args.bits_min, args.bits_max, cap=_cap(args))
+    if args.out:
+        _emit(_table(result._sweeps, args.format), args.out)
     for s in result.summaries:
         print(
             f"n={s.n} watermarks={s.count} max_minvm={s.max_minvm} "
@@ -277,8 +279,6 @@ def _cmd_verify(args) -> int:
             f"oracle={report.minvm_oracle} "
             f"nearest={','.join(str(w) for w in report.nearest)}"
         )
-    if args.out:
-        _emit(_table(result._sweeps, args.format), args.out)
     total = sum(s.count for s in result.summaries)
     if result.ok:
         print(f"verified {total} watermarks: OK")

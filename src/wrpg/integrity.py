@@ -66,11 +66,12 @@ def apply_edge_edits(
     """
     targets = list(g.back_edges)
     for edit in edits:
-        if not 1 <= edit.source <= g.n_star:
+        source = edit.source
+        if isinstance(source, bool) or not isinstance(source, int) or not 1 <= source <= g.n_star:
             raise UnsupportedAttack(
-                f"edit source {edit.source} is not an interior node (1..{g.n_star})"
+                f"edit source {source!r} is not an interior node (1..{g.n_star})"
             )
-        targets[edit.source - 1] = edit.new_target
+        targets[source - 1] = edit.new_target
     return ReduciblePermutationGraph(tuple(targets))
 
 

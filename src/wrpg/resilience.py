@@ -153,7 +153,7 @@ def _physical_memory_bytes() -> int | None:
 
 # The table is built _BUILD_CHUNK rows at a time.  While a chunk is
 # built, its working arrays hold at most _BUILD_CELL_BYTES bytes per
-# cell of the chunk (tracemalloc peaks of 15-16 bytes per cell for
+# cell of the chunk (tracemalloc peaks of 10-12 bytes per cell for
 # n = 12..20, where chunks are at least 2^11 rows).
 _BUILD_CHUNK = 1 << 12
 _BUILD_CELL_BYTES = 32
@@ -210,56 +210,84 @@ def _encoded_range(n: int) -> np.ndarray:
     bit-length whose table could be allocated.  Only the latest table
     is kept: a miss releases the held one before it builds.  Raises
     :class:`ResourceBoundError` before allocating when the table and
-    one chunk's working arrays would not fit in physical memory.
+    one chunk's working arrays would not fit in physical memory, and
+    when the allocator refuses the table.
     """
     import numpy as np
 
     _encoded_range.cache_clear()
     _require_fits(n, _build_bytes)
-    count, width = 1 << (n - 1), 2 * n + 1
-    rows = np.empty((count, width), dtype=np.uint8)
-    for start in range(0, count, _BUILD_CHUNK):
-        stop = min(start + _BUILD_CHUNK, count)
-        rows[start:stop] = _domination_maps(n, np.arange(start, stop)).T
+    try:
+        rows = np.empty((1 << (n - 1), 2 * n + 1), dtype=np.uint8)
+    except MemoryError:
+        raise ResourceBoundError(f"the {n}-bit table could not be allocated") from None
+    for start in range(0, len(rows), _BUILD_CHUNK):
+        stop = min(start + _BUILD_CHUNK, len(rows))
+        rows[start:stop] = _domination_maps(n, np.arange(start, stop))
     rows.setflags(write=False)
     return rows
 
 
 def _domination_maps(n: int, idx: np.ndarray) -> np.ndarray:
-    """Domination maps of the codewords of ``2^(n-1) + idx``, one per
-    ``uint8`` column: :func:`encode_w_to_sip` and :func:`dmax_map` for
-    all of them at once.  Columns keep each step's rows contiguous.
+    """Domination maps of the codewords of ``2^(n-1) + idx``, one
+    ``uint8`` row each: :func:`encode_w_to_sip` and :func:`dmax_map`
+    for all of them at once.
 
-    Positions ``p`` are 0-based here.  ``B' = 0^n || b || 0`` becomes
-    a 0/1 matrix; ``pi_b = X || reverse(Y)`` is the argsort of the key
-    ``p`` at a 0 and ``2m - p`` at a 1; pairing the two ends of
-    ``pi_b`` sets ``perm[pi_b] = reverse(pi_b) + 1``.  Then each
-    position in turn gets the value at the latest earlier position
-    holding a greater value (the header ``m + 1`` when none does),
-    filed under its own value.
+    Positions are 1-based, ``m = 2n + 1`` and ``s = m + 1``.  The
+    codeword ``pi`` of ``B' = 0^n || b || 0`` comes from an argsort:
+    the key ``p`` at a 0-position and ``2m - p`` at a 1-position sorts
+    into ``pi_b = X || reverse(Y)``, and pairing the two ends of
+    ``pi_b`` sets ``pi[pi_b] = reverse(pi_b)``.  Entry ``e`` of the
+    map, the target of element ``e``, then follows from the
+    0-positions of ``B'``:
+
+    * a 1-position ``e`` targets ``s`` (the bits :func:`_read_watermark`
+      reads);
+    * a 0-position ``e > n`` targets the next 0-position of ``B'``, or
+      ``s`` when ``e = m``;
+    * ``e <= n`` targets ``pi(q)``, where ``q`` is the latest 0-position
+      before ``pi(e)``; since positions ``1..n`` are all 0, ``q >= n``.
+
+    Proof.  Let ``k`` be the number of ones and ``a`` the first
+    0-position after ``n``, the fixed point of ``pi``.  Then
+    ``pi(1..n)`` lists the 1-positions ascending, then the 0-positions
+    above ``a`` descending; every other position after ``n`` holds a
+    value ``<= n``.  So a 1-position is preceded only by smaller
+    values.  A 0-position above ``a`` directly follows the next larger
+    0-position; the largest, ``m``, follows only 1-positions.  ``a`` is
+    preceded, back to position ``n``, only by values ``<= n``, and
+    ``pi(n)`` is the next 0-position after ``a``; when ``b`` has no 0,
+    ``a = m`` and every earlier value is smaller.  Take ``e <= n``.
+    Every position strictly between ``q`` and ``pi(e)`` is a
+    1-position, and it holds a rank below ``e``.  And ``pi(q) > e``:
+    ``pi(n)`` and ``a`` both exceed ``n``, and a 0-position above ``a``
+    holds ``k`` plus its rank from the top, which exceeds ``k`` and is
+    ``e + 1`` when ``e > k``.
+
+    So the maps need one running maximum (the latest 0-position) and
+    one running minimum (the next 0-position) over the positions, and
+    two gathers for ``pi(q)``.
     """
     import numpy as np
 
-    m, size = 2 * n + 1, len(idx)
-    key_type = np.min_scalar_type(2 * m)
-    pos = np.arange(m, dtype=key_type)[:, None]
-    ones = np.zeros((m, size), dtype=bool)
-    ones[n] = True  # b_1
-    ones[n + 1 : 2 * n] = (idx >> np.arange(n - 2, -1, -1)[:, None]) & 1
-    key = np.where(ones, 2 * m - pos, pos).astype(key_type)
-    pi_b = np.argsort(key, axis=0).astype(key_type)
-    perm = np.empty((m, size), dtype=np.uint8)
-    np.put_along_axis(perm, pi_b, (pi_b[::-1] + 1).astype(np.uint8), axis=0)
-    dominator = np.empty((m, size), dtype=np.uint8)
-    dominator[0] = m + 1
-    columns = np.arange(size)
-    for j in range(1, m):
-        # 1 + the latest earlier position holding a greater value, or 0
-        latest = ((perm[:j] > perm[j]) * pos[1 : j + 1]).max(axis=0)
-        found = perm[latest.astype(np.intp) - 1, columns]
-        dominator[j] = np.where(latest > 0, found, m + 1)
-    maps = np.empty((m, size), dtype=np.uint8)
-    np.put_along_axis(maps, perm.astype(np.intp) - 1, dominator, axis=0)
+    m, s, size = 2 * n + 1, 2 * n + 2, len(idx)
+    at = np.arange(1, m + 1, dtype=np.min_scalar_type(2 * m))  # 1-based positions
+    ones = np.zeros((size, m), dtype=bool)
+    ones[:, n] = True  # b_1
+    ones[:, n + 1 : 2 * n] = (idx[:, None] >> np.arange(n - 2, -1, -1)) & 1
+    pi_b = np.argsort(np.where(ones, 2 * m - at, at), axis=1).astype(at.dtype)
+    perm = np.empty((size, m), dtype=np.uint8)
+    np.put_along_axis(perm, pi_b, (pi_b[:, ::-1] + 1).astype(np.uint8), axis=1)
+    zero_at = ~ones * at  # each 0-position, and 0 at the 1-positions
+    s_at_ones = ones * np.uint8(s)
+    # the latest 0-position at or before each position; for e = n+1..m-1,
+    # the next 0-position after e
+    latest_zero = np.maximum.accumulate(zero_at, axis=1)
+    next_zero = np.minimum.accumulate((zero_at + s_at_ones)[:, :n:-1], axis=1)[:, ::-1]
+    maps = np.full((size, m), s, dtype=np.uint8)
+    q = np.take_along_axis(latest_zero, perm[:, :n] - 2, axis=1)  # before pi(e), e <= n
+    maps[:, :n] = np.take_along_axis(perm, q - 1, axis=1)
+    maps[:, n : m - 1] = np.maximum(s_at_ones[:, n : m - 1], next_zero)
     return maps
 
 

@@ -162,9 +162,27 @@ def analyze_without_a_memory_figure(workdir, monkeypatch):
     return code
 
 
-def survey_without_a_memory_figure(workdir, monkeypatch):
-    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: None)
-    return main(["survey", "--bits", "64", "--cap-override", "64"])
+def without_a_memory_figure(call):
+    """``call`` with no memory figure, so only the 64-bit bound checks a
+    table.  A table the allocator accepts lazily fails the test at its
+    first chunk instead of being filled."""
+
+    def run(workdir, monkeypatch):
+        monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(resilience, "_domination_maps", table_was_allocated)
+        return call()
+
+    return run
+
+
+def table_was_allocated(n, idx):
+    pytest.fail(f"the {n}-bit table was allocated")
+
+
+def verify_theorem_into_a_missing_directory(workdir, monkeypatch):
+    return main([
+        "verify-theorem", "--bits-min", "4", "--bits-max", "5", "--out", "missing/rows.csv",
+    ])
 
 
 ANALYZE_27 = (
@@ -183,14 +201,24 @@ ANALYZE_27 = (
         (lambda *_: SelfInvertingPermutation.from_one_line("1 x 3"), SipInvariantError),
         (decode_a_binary_file, (3, "", r"error: binary\.json is not a text file: [^\n]*\n")),
         (analyze_without_a_memory_figure, (0, ANALYZE_27, "")),
-        (survey_without_a_memory_figure,
+        (without_a_memory_figure(lambda: main(["survey", "--bits", "64", "--cap-override", "64"])),
          (3, "", r"error: the 64-bit table needs 2\^63 rows, more than a 64-bit address space\n")),
+        (without_a_memory_figure(lambda: main(["survey", "--bits", "50", "--cap-override", "50"])),
+         (3, "", r"error: the 50-bit table could not be allocated\n")),
+        (without_a_memory_figure(lambda: main(["analyze", str(1 << 39), "--cap-override", "40"])),
+         (3, "", r"error: the 40-bit table could not be allocated\n")),
+        (without_a_memory_figure(lambda: resilience.survey_range(50, cap=50)),
+         ResourceBoundError),
+        (verify_theorem_into_a_missing_directory,
+         (3, "", r"error: [^\n]*missing/rows\.csv[^\n]*\n")),
         (lambda *_: resilience.survey_range(10**5, cap=10**5), ResourceBoundError),
         (lambda *_: resilience.verify_theorem(4, 10**5, cap=10**5), ResourceBoundError),
         (lambda *_: resilience.minvm_oracle(1 << 20000, cap=20001), ResourceBoundError),
     ],
     ids=["float-target", "no-nodes", "even-node-count", "non-integer-element",
          "non-text-file", "unknown-physical-memory", "huge-table-unknown-memory",
+         "unallocatable-survey", "unallocatable-analyze", "unallocatable-survey-range",
+         "verify-theorem-out-in-a-missing-directory",
          "huge-survey", "huge-verify-theorem", "huge-oracle"],
 )
 def test_rarely_reached_branches(workdir, capsys, monkeypatch, call, outcome):

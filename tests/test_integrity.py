@@ -32,7 +32,7 @@ def test_empty_edit_list_is_identity():
 
 def test_edits_outside_interior_nodes_are_unsupported():
     g = graph_of(12)
-    for source in (0, 10, -1):
+    for source in (0, 10, -1, 1.5, "2", True):
         with pytest.raises(UnsupportedAttack):
             apply_edge_edits(g, [EdgeEdit(source, 5)])
 

@@ -132,6 +132,18 @@ def test_vectorised_table_matches_the_codec_on_every_row():
         assert np.array_equal(rows, loop_table(n)), n
 
 
+def test_vectorised_rule_matches_the_codec_beyond_the_exhaustive_range():
+    rng = random.Random(2018)
+    for n in range(15, 65):
+        last = (1 << (n - 1)) - 1
+        idx = [0, last] + [rng.randint(0, last) for _ in range(62)]
+        maps = resilience._domination_maps(n, np.array(idx, dtype=np.int64))
+        assert maps.dtype == np.uint8
+        assert maps.tolist() == [
+            list(dmax_map(encode_w_to_sip((1 << (n - 1)) + i)[0].elements)) for i in idx
+        ], n
+
+
 def test_table_memory_estimate_counts_the_working_arrays(monkeypatch):
     n, width = 16, 33
     monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 0)
