@@ -119,10 +119,7 @@ def _read_watermark(g: ReduciblePermutationGraph) -> int | None:
     edges = g.back_edges
     if n < 2 or edges[n] != header:
         return None
-    w = 0
-    for target in edges[n : 2 * n]:
-        w = (w << 1) | (target == header)
-    return w
+    return int("".join(["1" if target == header else "0" for target in edges[n : 2 * n]]), 2)
 
 
 def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:

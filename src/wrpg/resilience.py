@@ -9,7 +9,9 @@ bit-lengths are unreachable).  Three routes to it live here:
 * an exhaustive oracle that encodes every same-length watermark and
   measures distances directly, and
 * constructive rewrites (``proof_neighbors``) with predicted costs,
-  each an explicit witness for the closed-form upper bound.
+  each an explicit witness for the closed-form upper bound.  Each
+  rewrite flips one or two bits of ``w``, and which bits is fixed by
+  ``w``'s shape.
 
 ``verify_theorem`` and ``survey_range`` need the oracle for every
 watermark of a bit-length at once; they get it from one exact join per
@@ -18,7 +20,9 @@ watermark.  ``minvm_oracle`` stays the brute-force single-row scan and
 is the test reference for the join.  A sweep keeps each bit-length as
 arrays, with the closed form and strength evaluated once per distinct
 shape, and builds ``ResilienceReport`` objects only when a caller asks
-for them; the CLI writes its tables straight from the arrays.
+for them; the CLI writes its tables straight from the arrays.  The
+witness check applies each shape's flips to all of that shape's rows,
+one array comparison per flip.
 
 The closed form is only defined for bit-length >= 4: hand checks show
 bit-length 3 admits a distance-3 pair that the shape rules would price
@@ -104,44 +108,44 @@ def proof_neighbors(w: int) -> list[tuple[int, int, str]]:
     reachable from the graph of ``w`` by exactly ``cost`` back-edge
     retargetings.  The cheapest entry always prices at the closed form.
 
-    Rules: ``swap`` exchanges the two largest permutation elements,
-    which flips the last bit; ``move-out-pi2``/``move-out-pi1`` shift
-    the internal zero right/left (``move-out-pi2`` with every element
-    but the maximum leaving pushes the zero to the end);
-    ``all-ones``/``move-out`` cover the remaining displayed rewrites.
+    Each rule flips one or two bits of ``w``, and which bits depends
+    only on ``w``'s shape (see :func:`_witness_flips`).  With ``w`` as
+    ``1 1^ell 0 1^r b_n``, ``b_n`` is bit 0 and the internal zero is bit
+    ``r + 1``: ``swap`` exchanges the two largest permutation elements,
+    which flips ``b_n``; ``move-out-pi2``/``move-out-pi1`` move the
+    internal zero ``j`` places right/left, flipping its bit and the bit
+    ``j`` places away; ``all-ones``, and the last ``move-out-pi2`` when
+    ``b_n = 1`` (it moves the zero to the end), flip the zero's bit and
+    ``b_n``; with no internal zero, ``move-out`` flips the last two
+    bits.
     """
-    n = require_watermark(w)
-    _require_closed_form_range(n)
-    return _proof_neighbors(w, n, bit_shape(w))
+    _require_closed_form_range(require_watermark(w))
+    return [(w ^ flip, cost, rule) for flip, cost, rule in _witness_flips(bit_shape(w))]
 
 
-def _proof_neighbors(w: int, n: int, shape: WatermarkShape) -> list[tuple[int, int, str]]:
-    out: list[tuple[int, int, str]] = []
+def _witness_flips(shape: WatermarkShape) -> list[tuple[int, int, str]]:
+    """The rules of :func:`proof_neighbors` for every watermark of
+    ``shape``, in order: each ``(flip, cost, rule)`` rewrites ``w`` into
+    ``w ^ flip``."""
     if shape.case == CASE_TWO_ZEROS:
-        out.append((w ^ 1, 3, "swap"))
-    elif shape.case == CASE_ONE_ZERO:
-        ell, r = shape.ell, shape.r
-        if shape.last_bit == 0:
-            if r > 0:
-                out.append((w | 1, 4 + ell, "swap"))
-                for j in range(1, r + 1):
-                    out.append((_one_zero_watermark(n, ell + j, r - j, 0), 3 + r, "move-out-pi2"))
-                for i in range(1, ell + 1):
-                    out.append((_one_zero_watermark(n, ell - i, r + i, 0), 3 + i + r, "move-out-pi1"))
-                out.append(((1 << n) - 1, 4 + r, "all-ones"))
-            else:
-                out.append((_one_zero_watermark(n, ell - 1, 1, 0), 4, "move-out-pi1"))
-        else:
-            out.append((w & ~1, 4 + ell, "swap"))
-            for j in range(1, r + 1):
-                out.append((_one_zero_watermark(n, ell + j, r - j, 1), 4 + r, "move-out-pi2"))
-            out.append(((1 << n) - 2, 4 + r, "move-out-pi2"))
-    else:
-        if shape.last_bit == 0:
-            out.append(((1 << n) - 3, 4, "move-out"))
-        else:
-            out.append(((1 << n) - 4, 4, "move-out"))
-    return out
+        return [(1, 3, "swap")]
+    if shape.case != CASE_ONE_ZERO:
+        return [(3, 4, "move-out")]
+    ell, r, zero = shape.ell, shape.r, 1 << (shape.r + 1)
+    if shape.last_bit == 1:
+        return [
+            (1, 4 + ell, "swap"),
+            *((zero | zero >> j, 4 + r, "move-out-pi2") for j in range(1, r + 1)),
+            (zero | 1, 4 + r, "move-out-pi2"),
+        ]
+    if r == 0:
+        return [(zero | zero << 1, 4, "move-out-pi1")]
+    return [
+        (1, 4 + ell, "swap"),
+        *((zero | zero >> j, 3 + r, "move-out-pi2") for j in range(1, r + 1)),
+        *((zero | zero << i, 3 + i + r, "move-out-pi1") for i in range(1, ell + 1)),
+        (zero | 1, 4 + r, "all-ones"),
+    ]
 
 
 def _physical_memory_bytes() -> int | None:
@@ -336,7 +340,7 @@ def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
 # at distance 3, so a join within radius 3 settles all but the 2n-2
 # others, which get a full row scan.
 _JOIN_RADIUS = 3
-_JOIN_CHUNK = 1 << 14  # candidate pairs, or rows of witnesses, checked at once
+_JOIN_CHUNK = 1 << 14  # candidate pairs checked at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,36 +590,41 @@ def _sweep_length(n: int) -> _LengthSweep:
 
 def _check_witnesses(sweep: _LengthSweep) -> None:
     """Raise :class:`InternalInvariantError` at the first constructive
-    witness, in row order, that leaves the bit-length or whose distance
-    in the table differs from its predicted cost.  The witnesses of
-    ``_JOIN_CHUNK`` rows are measured at once."""
+    witness, in row order and then in rule order, that leaves the
+    bit-length or whose distance in the table differs from its predicted
+    cost.  Each flip is measured on every row of its shape at once.  A
+    flip that is not positive or reaches bit ``n - 1`` leaves the
+    bit-length from every row, so it is caught on the Python int before
+    any array math."""
     import numpy as np
 
     n, rows = sweep.n, _encoded_range(sweep.n)
-    lo = 1 << (n - 1)
-    for start in range(0, lo, _JOIN_CHUNK):
-        shape_ids = sweep.shape_id[start : start + _JOIN_CHUNK].tolist()
-        found = [
-            (w, neighbor, cost, rule)
-            for w, s in zip(range(lo + start, 2 * lo), shape_ids)
-            for neighbor, cost, rule in _proof_neighbors(w, n, sweep.shapes[s])
-        ]
-        w, neighbor, cost = (np.array(column) for column in tuple(zip(*found))[:3])
-        outside = (neighbor >> (n - 1) != 1) | (neighbor == w)
-        other = (np.where(outside, w, neighbor) - lo).astype(np.intp)
-        measured = np.count_nonzero(rows[w - lo] != rows[other], axis=1)
-        wrong = np.flatnonzero(outside | (measured != cost))
-        if len(wrong):
-            k = int(wrong[0])
-            w, neighbor, cost, rule = found[k]
-            if outside[k]:
-                raise InternalInvariantError(
-                    f"witness {neighbor} of w={w} ({rule}) leaves the bit-length range"
-                )
+    by_shape = np.argsort(sweep.shape_id, kind="stable")
+    bounds = np.searchsorted(sweep.shape_id[by_shape], np.arange(len(sweep.shapes) + 1))
+    failures = []  # (row, rule index, flip, cost, rule, measured or None)
+    for s, shape in enumerate(sweep.shapes):
+        idx = by_shape[bounds[s] : bounds[s + 1]]
+        for k, (flip, cost, rule) in enumerate(_witness_flips(shape)):
+            if flip <= 0 or flip >> (n - 1):
+                failures.append((int(idx[0]), k, flip, cost, rule, None))
+                continue
+            # flip < 2^(n-1) keeps the leading bit, so w ^ flip is row idx ^ flip
+            measured = np.count_nonzero(rows[idx] != rows[idx ^ flip], axis=1)
+            wrong = np.flatnonzero(measured != cost)
+            if len(wrong):
+                first = wrong[0]
+                failures.append((int(idx[first]), k, flip, cost, rule, int(measured[first])))
+    if failures:
+        row, _, flip, cost, rule, measured = min(failures, key=lambda f: f[:2])
+        w = (1 << (n - 1)) + row
+        if measured is None:
             raise InternalInvariantError(
-                f"witness {neighbor} of w={w} ({rule}) predicted cost "
-                f"{cost} but measures {measured[k]}"
+                f"witness {w ^ flip} of w={w} ({rule}) leaves the bit-length range"
             )
+        raise InternalInvariantError(
+            f"witness {w ^ flip} of w={w} ({rule}) predicted cost "
+            f"{cost} but measures {measured}"
+        )
 
 
 def _survey(n: int, cap: int) -> _LengthSweep:

@@ -181,9 +181,7 @@ def decode_sip_to_w(sip: SelfInvertingPermutation) -> int:
             break
     if (n + 1) not in ys:
         raise NotAWatermark("leading bit decodes to 0")
-    w = 0
-    for j in range(1, n + 1):
-        w = (w << 1) | ((n + j) in ys)
+    w = int("".join(["1" if n + j in ys else "0" for j in range(1, n + 1)]), 2)
     re_encoded, _ = encode_w_to_sip(w)
     if re_encoded.elements != sip.elements:
         raise NotAWatermark(f"re-encoding {w} does not reproduce the permutation")

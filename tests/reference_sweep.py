@@ -4,9 +4,13 @@ The sweep as it ran before it became columnar: one
 ``ResilienceReport`` per watermark built in a Python loop, one
 distance per constructive witness, and summaries reduced from the
 reports.  It takes each row's ``(minVM, nearest)`` from the join and
-the rules from ``_closed_form``, ``_strength`` and ``_proof_neighbors``,
+the rules from ``_closed_form``, ``_strength`` and ``_witness_flips``,
 so it differs from ``verify_theorem`` and ``survey_range`` only in how
 the rows are put together.
+
+Also the constructive rewrites as they were built before they became
+bit flips fixed by shape: one watermark at a time, each rewrite spelled
+out as the watermark it yields (``proof_neighbors``).
 
 Also the table writer as it ran before the CLI wrote its tables
 straight from the sweep's arrays: one record per report, written by
@@ -25,7 +29,38 @@ from wrpg.resilience import (
     ResilienceReport,
     strong_watermark_of,
 )
-from wrpg.sip import bit_shape
+from wrpg.sip import CASE_ONE_ZERO, CASE_TWO_ZEROS, WatermarkShape, bit_shape
+
+
+def proof_neighbors(w: int, n: int, shape: WatermarkShape) -> list[tuple[int, int, str]]:
+    """``resilience.proof_neighbors(w)`` for the ``n``-bit ``w`` of ``shape``."""
+    one_zero = resilience._one_zero_watermark
+    out: list[tuple[int, int, str]] = []
+    if shape.case == CASE_TWO_ZEROS:
+        out.append((w ^ 1, 3, "swap"))
+    elif shape.case == CASE_ONE_ZERO:
+        ell, r = shape.ell, shape.r
+        if shape.last_bit == 0:
+            if r > 0:
+                out.append((w | 1, 4 + ell, "swap"))
+                for j in range(1, r + 1):
+                    out.append((one_zero(n, ell + j, r - j, 0), 3 + r, "move-out-pi2"))
+                for i in range(1, ell + 1):
+                    out.append((one_zero(n, ell - i, r + i, 0), 3 + i + r, "move-out-pi1"))
+                out.append(((1 << n) - 1, 4 + r, "all-ones"))
+            else:
+                out.append((one_zero(n, ell - 1, 1, 0), 4, "move-out-pi1"))
+        else:
+            out.append((w & ~1, 4 + ell, "swap"))
+            for j in range(1, r + 1):
+                out.append((one_zero(n, ell + j, r - j, 1), 4 + r, "move-out-pi2"))
+            out.append(((1 << n) - 2, 4 + r, "move-out-pi2"))
+    else:
+        if shape.last_bit == 0:
+            out.append(((1 << n) - 3, 4, "move-out"))
+        else:
+            out.append(((1 << n) - 4, 4, "move-out"))
+    return out
 
 
 def join_minima(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -70,8 +105,9 @@ def verify_theorem(n_min: int, n_max: int):
         reports = length_reports(n)
         rows = resilience._encoded_range(n)
         for r in reports:
-            for neighbor, cost, rule in resilience._proof_neighbors(r.w, n, r.shape):
-                if neighbor.bit_length() != n or neighbor == r.w:
+            for flip, cost, rule in resilience._witness_flips(r.shape):
+                neighbor = r.w ^ flip
+                if not lo <= neighbor < 2 * lo or neighbor == r.w:
                     raise InternalInvariantError(
                         f"witness {neighbor} of w={r.w} ({rule}) leaves the bit-length range"
                     )

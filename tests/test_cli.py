@@ -5,10 +5,16 @@ import subprocess
 import sys
 
 import pytest
+import reference_sweep
 
 import wrpg.resilience as resilience
 from wrpg.cli import main
-from wrpg.errors import GraphFormatError, ResourceBoundError, SipInvariantError
+from wrpg.errors import (
+    GraphFormatError,
+    InternalInvariantError,
+    ResourceBoundError,
+    SipInvariantError,
+)
 from wrpg.integrity import EdgeEdit, apply_edge_edits
 from wrpg.rpg import ReduciblePermutationGraph, graph_to_json, load_graph
 from wrpg.sip import SelfInvertingPermutation, bit_shape
@@ -266,24 +272,23 @@ def test_oracle_above_the_closed_form_in_a_sweep_is_an_internal_error(
 @pytest.mark.parametrize(
     "mispriced,message",
     [
-        (lambda w, neighbor, cost: (neighbor, cost + 1), "predicted cost"),
-        (lambda w, neighbor, cost: (w, cost), "leaves the bit-length range"),
+        (lambda flip, cost: (flip, cost + 1), "predicted cost"),
+        (lambda flip, cost: (0, cost), "leaves the bit-length range"),
     ],
 )
 def test_a_broken_witness_is_an_internal_error(workdir, capsys, monkeypatch, mispriced, message):
-    proof_neighbors = resilience._proof_neighbors
+    witness_flips = resilience._witness_flips
 
-    def broken(w, n, shape):
-        return [
-            (*mispriced(w, neighbor, cost), rule)
-            for neighbor, cost, rule in proof_neighbors(w, n, shape)
-        ]
+    def broken(shape):
+        return [(*mispriced(flip, cost), rule) for flip, cost, rule in witness_flips(shape)]
 
-    monkeypatch.setattr(resilience, "_proof_neighbors", broken)
+    monkeypatch.setattr(resilience, "_witness_flips", broken)
+    with pytest.raises(InternalInvariantError) as expected:
+        reference_sweep.verify_theorem(4, 5)
     assert main(["verify-theorem", "--bits-min", "4", "--bits-max", "5"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: witness ")
+    assert captured.err == f"internal error: {expected.value}\n"
     assert message in captured.err
 
 

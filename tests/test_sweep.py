@@ -1,7 +1,8 @@
-"""The columnar sweep and the CLI's tables against the per-watermark
-reference in ``reference_sweep.py``, and a work count that keeps the
-sweep's per-row Python from growing back."""
+"""The columnar sweep, the CLI's tables and the constructive rewrites
+against the per-watermark reference in ``reference_sweep.py``, and a
+work count that keeps the sweep's per-row Python from growing back."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from reference_sweep import report_record
 import wrpg.resilience as resilience
 from wrpg.cli import main
 from wrpg.errors import InternalInvariantError
-from wrpg.resilience import survey_range, verify_theorem
+from wrpg.resilience import proof_neighbors, survey_range, verify_theorem
 from wrpg.sip import bit_shape
 
 WRITERS = {"csv": reference_sweep.rows_csv, "json": reference_sweep.rows_json}
@@ -65,23 +66,56 @@ def test_verify_theorem_mismatches_match_the_per_watermark_reference(monkeypatch
     assert result.reports == reports
 
 
+@pytest.mark.parametrize("n", range(4, 17))
+def test_proof_neighbors_match_the_per_row_reference(n):
+    for w in range(1 << (n - 1), 1 << n):
+        assert proof_neighbors(w) == reference_sweep.proof_neighbors(w, n, bit_shape(w)), w
+
+
+@pytest.mark.parametrize("n,sample", [(64, None), (512, 12), (4096, 4)])
+def test_proof_neighbors_match_the_per_row_reference_at_large_n(n, sample):
+    # random watermarks are almost all Case1, so build the other shapes:
+    # every Case2 (ell, r, b_n), and at n = 64 both Case3 forms
+    ws = [
+        resilience._one_zero_watermark(n, ell, n - 3 - ell, last_bit)
+        for ell in range(n - 2)
+        for last_bit in (0, 1)
+    ]
+    if sample is None:
+        ws += [(1 << n) - 1, (1 << n) - 2]
+    else:
+        ws = random.Random(n).sample(ws, sample)
+    for w in ws:
+        assert proof_neighbors(w) == reference_sweep.proof_neighbors(w, n, bit_shape(w)), w
+
+
+# Two Case2 shapes of bit-length 9; LATE's watermark comes after EARLY's.
+EARLY = bit_shape(0b101111110)  # ell 0, r 6, b_n 0
+LATE = bit_shape(0b111101110)  # ell 3, r 3, b_n 0
+
+
 @pytest.mark.parametrize(
     "broken",
     [
-        lambda w, neighbor, cost: (neighbor, cost + (w == 300)),
-        lambda w, neighbor, cost: (-5 if w == 301 else neighbor, cost),
-        lambda w, neighbor, cost: (w if w == 301 else neighbor, cost + (w == 300)),
-        lambda w, neighbor, cost: (neighbor + (1 << 70) * (w == 301), cost),
-        lambda w, neighbor, cost: (neighbor, cost + (w > 300 and neighbor > w)),
+        lambda shape, flip, cost: (flip, cost + (shape == EARLY)),
+        lambda shape, flip, cost: (-5 if shape == EARLY else flip, cost),
+        # LATE fails at its first rule, EARLY only from its second
+        lambda shape, flip, cost: (
+            0 if shape == LATE else flip, cost + (shape == EARLY and flip > 1)
+        ),
+        lambda shape, flip, cost: (flip + (1 << 70) * (shape == LATE), cost),
+        # from n = 5, in many rows and at several rules of each
+        lambda shape, flip, cost: (flip, cost + (flip > 8)),
+        lambda shape, flip, cost: (1 << 8 if shape == LATE else flip, cost),  # b_1 of LATE
     ],
 )
 def test_a_broken_witness_fails_as_in_the_reference(monkeypatch, broken):
-    proof_neighbors = resilience._proof_neighbors
+    witness_flips = resilience._witness_flips
     monkeypatch.setattr(
         resilience,
-        "_proof_neighbors",
-        lambda w, n, shape: [
-            (*broken(w, neighbor, cost), rule) for neighbor, cost, rule in proof_neighbors(w, n, shape)
+        "_witness_flips",
+        lambda shape: [
+            (*broken(shape, flip, cost), rule) for flip, cost, rule in witness_flips(shape)
         ],
     )
     with pytest.raises(InternalInvariantError) as expected:
@@ -96,8 +130,9 @@ def test_the_sweep_evaluates_each_shape_once(monkeypatch):
     # shared by every watermark with two or more internal zeros, and
     # one per other watermark.  A per-row loop would call each rule
     # 2^(n-1) times.
-    shaped, priced = Counter(), []
+    shaped, priced, flipped, checking = Counter(), [], Counter(), []
     real_shape, real_closed = resilience.bit_shape, resilience._closed_form
+    real_flips, real_check = resilience._witness_flips, resilience._check_witnesses
 
     def counted_shape(w):
         shaped[w.bit_length()] += 1
@@ -107,9 +142,21 @@ def test_the_sweep_evaluates_each_shape_once(monkeypatch):
         priced.append(shape)
         return real_closed(shape)
 
+    def counted_check(sweep):
+        checking.append(sweep.n)
+        real_check(sweep)
+
+    def counted_flips(shape):
+        flipped[checking[-1]] += 1
+        return real_flips(shape)
+
     monkeypatch.setattr(resilience, "bit_shape", counted_shape)
     monkeypatch.setattr(resilience, "_closed_form", counted_closed)
+    monkeypatch.setattr(resilience, "_check_witnesses", counted_check)
+    monkeypatch.setattr(resilience, "_witness_flips", counted_flips)
     verify_theorem(4, 12)
     assert set(shaped) == set(range(4, 13))
     assert all(shaped[n] <= 2 * n - 1 for n in shaped), shaped
     assert 0 < len(priced) <= sum(2 * n - 1 for n in range(4, 13))
+    assert checking == list(range(4, 13))
+    assert all(0 < flipped[n] <= 2 * n - 1 for n in checking), flipped
