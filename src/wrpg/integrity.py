@@ -136,7 +136,7 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
     the watermark ``w != w'`` it was built from.
     """
     w = _read_watermark(g)
-    if w is not None and g.back_edges == dmax_map(encode_w_to_sip(w)[0].elements):
+    if w is not None and g.back_edges == dmax_map(encode_w_to_sip(w)[0]):
         return ValidityReport(dict.fromkeys(CHECK_NAMES, True), w, ())
 
     checks: dict[str, bool | None] = dict.fromkeys(CHECK_NAMES)

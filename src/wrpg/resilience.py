@@ -312,7 +312,7 @@ def encoded_distance(w1: int, w2: int) -> int:
     n = require_watermark(w1)
     if require_watermark(w2) != n:
         raise WatermarkDomainError(f"{w1} and {w2} differ in bit-length")
-    e1, e2 = (dmax_map(encode_w_to_sip(w)[0].elements) for w in (w1, w2))
+    e1, e2 = (dmax_map(encode_w_to_sip(w)[0]) for w in (w1, w2))
     return sum(a != b for a, b in zip(e1, e2))
 
 

@@ -11,9 +11,11 @@ element greater than ``i`` to the left of ``i``'s position in the
 permutation, or ``s`` when no such element exists.  Decoding inverts
 that map: the targets form a forest rooted at ``s`` (every parent is a
 larger element), and because the children of any parent occur in
-ascending order left-to-right in the source permutation, a preorder
-walk that visits children in ascending numeric order rebuilds the
-one-line form exactly.
+ascending order left-to-right in the source permutation, the preorder
+that visits children in ascending numeric order is the one-line form.
+Decoding builds that preorder without a tree walk: it inserts the
+elements in descending order into a linked list, each right after its
+parent, and reads the list from ``s``.
 
 Because the spine is the only way down, a graph is reducible (every
 back-edge target dominates its source) exactly when no back edge points
@@ -31,7 +33,7 @@ from .errors import (
     SipInvariantError,
     SizeMismatchError,
 )
-from .sip import SelfInvertingPermutation
+from .sip import SelfInvertingPermutation, _exact_ints
 
 FOOTER = 0
 FILE_FORMAT_VERSION = 1
@@ -55,7 +57,9 @@ class ReduciblePermutationGraph:
         object.__setattr__(self, "back_edges", targets)
         if not targets:
             raise GraphFormatError("graph must have at least one interior node")
-        if any(isinstance(t, bool) or not isinstance(t, int) for t in targets):
+        if not _exact_ints(targets) and any(
+            isinstance(t, bool) or not isinstance(t, int) for t in targets
+        ):
             raise GraphFormatError("back-edge targets must be integers")
 
     @property
@@ -84,28 +88,49 @@ class ReduciblePermutationGraph:
         return self.n_star
 
 
-def dmax_map(perm: Sequence[int]) -> tuple[int, ...]:
+def dmax_map(perm: SelfInvertingPermutation | Sequence[int]) -> tuple[int, ...]:
     """Nearest-greater-to-the-left map of a permutation of 1..m.
 
     Entry ``i - 1`` holds the element that dominates ``i`` (the greater
     element with maximum position among those left of ``i``), or
     ``m + 1`` for the header when no element to the left is greater.
+
+    Raises :class:`SipInvariantError` when ``perm`` is not a permutation
+    of 1..m whose elements are all exactly ``int``; a
+    :class:`SelfInvertingPermutation` is one by construction and is not
+    checked again.
     """
     m = len(perm)
-    header = m + 1
-    targets = [header] * m
+    if not isinstance(perm, SelfInvertingPermutation) and not (
+        _exact_ints(perm)
+        and len(set(perm)) == m
+        and min(perm, default=1) >= 1
+        and max(perm, default=m) <= m
+    ):
+        raise SipInvariantError(f"not a permutation of 1..{m}")
+    targets = [0] * m
+    # the stack's top is held in ``top``; the header starts there and is
+    # never popped, since it exceeds every element
     stack: list[int] = []
+    top = m + 1
     for value in perm:
-        while stack and stack[-1] < value:
-            stack.pop()
-        targets[value - 1] = stack[-1] if stack else header
-        stack.append(value)
+        while top < value:
+            top = stack.pop()
+        targets[value - 1] = top
+        stack.append(top)
+        top = value
     return tuple(targets)
 
 
 def encode_sip_to_rpg(sip: SelfInvertingPermutation | Sequence[int]) -> ReduciblePermutationGraph:
-    """Build the flow-graph of a permutation from its domination map."""
-    return ReduciblePermutationGraph(dmax_map(tuple(sip)))
+    """Build the flow-graph of a permutation from its domination map.
+
+    Raises :class:`SipInvariantError` when ``sip`` is not a permutation
+    of 1..m (see :func:`dmax_map`).
+    """
+    if not isinstance(sip, SelfInvertingPermutation):
+        sip = tuple(sip)
+    return ReduciblePermutationGraph(dmax_map(sip))
 
 
 def reconstruct_permutation(g: ReduciblePermutationGraph) -> tuple[int, ...]:
@@ -115,6 +140,20 @@ def reconstruct_permutation(g: ReduciblePermutationGraph) -> tuple[int, ...]:
     Requires every target to lie strictly above its source (otherwise
     the parent forest is ill-formed); raises
     :class:`FalseIncorrectGraph` when that fails.
+
+    The targets form a forest rooted at the header, and the result is
+    its preorder with children in ascending order.  It is built by
+    inserting ``i = m, .., 1`` into a linked list, each right after its
+    parent ``t``, and reading the list from the header.  Proof: every
+    parent is larger than its children, so the nodes ``m, .., i`` form a
+    forest under the header too.  Suppose the list holds the preorder of
+    the forest on ``m, .., i + 1``.  The parent ``t`` of ``i`` is in it
+    and no descendant of ``i`` is.  In the preorder of the forest on
+    ``m, .., i``, ``i`` is ``t``'s smallest child, so it comes right
+    after ``t``, before ``t``'s larger children and their subtrees,
+    which already follow ``t``; and ``i``'s subtree is ``i`` alone.  So
+    inserting ``i`` right after ``t`` gives that preorder, and after
+    ``1`` the list is the preorder of the whole forest.
 
     When every target lies above its source, ``dmax_map`` of the result
     reproduces the back edges, so callers need not compare them.
@@ -135,16 +174,15 @@ def reconstruct_permutation(g: ReduciblePermutationGraph) -> tuple[int, ...]:
                 "back-edge-range",
                 f"element {i} must target a node in {i + 1}..{m + 1}, got {t}",
             )
-    children: list[list[int]] = [[] for _ in range(m + 2)]
-    for i, t in enumerate(g.back_edges, 1):
-        children[t].append(i)  # ascending, since i is
+    nxt = [0] * (m + 2)  # successor in the list; 0 (the footer) ends it
+    for i, t in zip(range(m, 0, -1), reversed(g.back_edges)):
+        nxt[i] = nxt[t]
+        nxt[t] = i
     out: list[int] = []
-    stack = [m + 1]
-    while stack:
-        node = stack.pop()
-        if node <= m:
-            out.append(node)
-        stack.extend(reversed(children[node]))
+    node = nxt[m + 1]
+    while node:
+        out.append(node)
+        node = nxt[node]
     return tuple(out)
 
 
@@ -194,12 +232,15 @@ def check_reducibility(g: ReduciblePermutationGraph) -> ReducibilityReport:
     not a node, or else the first downward edge (lowest source).
     """
     header = g.n_star + 1
+    downward = None
     for i, t in enumerate(g.back_edges, 1):
         if not 0 <= t <= header:
             return ReducibilityReport(False, (i, t), f"target {t} is not a node")
-    for i, t in enumerate(g.back_edges, 1):
-        if t < i:
-            return ReducibilityReport(False, (i, t), f"node {t} does not dominate node {i}")
+        if t < i and downward is None:
+            downward = i, t
+    if downward is not None:
+        i, t = downward
+        return ReducibilityReport(False, downward, f"node {t} does not dominate node {i}")
     return ReducibilityReport(True, None, "every back edge targets a dominator")
 
 
@@ -249,7 +290,9 @@ def graph_from_json(text: str) -> ReduciblePermutationGraph:
     edges = payload.get("back_edges")
     if not isinstance(edges, list) or len(edges) != nstar:
         raise GraphFormatError(f"back_edges must be a list of {nstar} integers")
-    if any(isinstance(t, bool) or not isinstance(t, int) for t in edges):
+    if not _exact_ints(edges) and any(
+        isinstance(t, bool) or not isinstance(t, int) for t in edges
+    ):
         raise GraphFormatError("back_edges entries must be integers")
     return ReduciblePermutationGraph(tuple(edges))
 

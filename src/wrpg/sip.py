@@ -20,6 +20,7 @@ is safe for unrestricted concurrent use.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import NotAWatermark, SipInvariantError, WatermarkDomainError
@@ -29,6 +30,15 @@ from .errors import NotAWatermark, SipInvariantError, WatermarkDomainError
 CASE_TWO_ZEROS = "Case1"
 CASE_ONE_ZERO = "Case2"
 CASE_NO_ZEROS = "Case3"
+
+# bytes.translate tables that turn the bits of B' into a mask of its 0s or of its 1s
+_ZERO_BITS = bytes.maketrans(b"01", b"\1\0")
+_ONE_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _exact_ints(values: Sequence[object]) -> bool:
+    """True when every value is exactly an ``int``: no ``bool``, no subclass."""
+    return list(map(type, values)).count(int) == len(values)
 
 
 def require_watermark(w: int) -> int:
@@ -73,7 +83,7 @@ def bit_shape(w: int) -> WatermarkShape:
 class SelfInvertingPermutation:
     """A permutation of ``1..n*`` equal to its own inverse, with exactly
     one fixed point.  ``n*`` is odd and equals ``2n + 1`` for codewords
-    of bit-length ``n``."""
+    of bit-length ``n``.  Every element must be exactly an ``int``."""
 
     elements: tuple[int, ...]
 
@@ -83,7 +93,7 @@ class SelfInvertingPermutation:
         m = len(elems)
         if m % 2 == 0:
             raise SipInvariantError(f"length must be odd, got {m}")
-        if sorted(elems) != list(range(1, m + 1)):
+        if not _exact_ints(elems) or sorted(elems) != list(range(1, m + 1)):
             raise SipInvariantError(f"not a permutation of 1..{m}")
         fixed = 0
         for pos, val in enumerate(elems, start=1):
@@ -152,19 +162,15 @@ def encode_w_to_sip(w: int) -> tuple[SelfInvertingPermutation, EncodingTrace]:
     n = require_watermark(w)
     bits = format(w, "b")
     b_prime = "0" * n + bits + "0"
-    xs = [pos for pos, bit in enumerate(b_prime, 1) if bit == "0"]
-    ys = [pos for pos, bit in enumerate(b_prime, 1) if bit == "1"]
+    raw, positions = b_prime.encode(), range(1, 2 * n + 2)
+    xs = tuple(compress(positions, raw.translate(_ZERO_BITS)))
+    ys = tuple(compress(positions, raw.translate(_ONE_BITS)))
     pi_b = xs + ys[::-1]
-    m = 2 * n + 1
-    out = [0] * m
-    for i in range(n):
-        a, b = pi_b[i], pi_b[m - 1 - i]
-        out[a - 1] = b
-        out[b - 1] = a
-    mid = pi_b[n]
-    out[mid - 1] = mid
-    trace = EncodingTrace(b_prime, tuple(xs), tuple(ys), tuple(pi_b))
-    return SelfInvertingPermutation._trusted(tuple(out)), trace
+    out = [0] * (2 * n + 2)  # indexed by position; slot 0 is unused
+    for a, b in zip(pi_b, reversed(pi_b)):  # opposite ends; the middle meets itself
+        out[a] = b
+    trace = EncodingTrace(b_prime, xs, ys, pi_b)
+    return SelfInvertingPermutation._trusted(tuple(out[1:])), trace
 
 
 def decode_sip_to_w(sip: SelfInvertingPermutation) -> int:
