@@ -1,10 +1,11 @@
 """Attack application and validity classification of watermark graphs.
 
-An attacked graph is valid exactly when it equals the codec's own graph
-of the watermark it spells, so ``classify_graph`` decides validity with
-one re-encode and one comparison, and agrees with the decoder.  When
-the comparison fails, the named structural checks run to explain which
-properties an edit destroyed.
+An attacked graph is valid exactly when it decodes: the permutation
+rebuilt from its back edges decodes to a watermark, whose re-encoding
+gives that permutation back.  So ``classify_graph`` takes its verdict
+from the decoder, on the one path from graph to watermark.  When
+decoding fails, the named structural checks run on the permutation
+already rebuilt to explain which properties an edit destroyed.
 ``classify_graph`` never raises: attack analysis wants total functions
 with rich reports.
 """
@@ -12,8 +13,8 @@ with rich reports.
 from dataclasses import dataclass
 
 from .errors import FalseIncorrectGraph, NotAWatermark, UnsupportedAttack
-from .rpg import ReduciblePermutationGraph, dmax_map, reconstruct_permutation
-from .sip import SelfInvertingPermutation, decode_sip_to_w, encode_w_to_sip, template_failures
+from .rpg import ReduciblePermutationGraph, reconstruct_permutation
+from .sip import SelfInvertingPermutation, decode_sip_to_w, template_failures
 
 CHECK_NAMES = (
     "involution",
@@ -96,49 +97,23 @@ class ValidityReport:
         return tuple(name for name in CHECK_NAMES if self.checks[name] is False)
 
 
-def _read_watermark(g: ReduciblePermutationGraph) -> int | None:
-    """The watermark ``w'`` a codeword graph spells, or None.
-
-    Bit ``j`` of ``w'`` is 1 exactly when element ``n+j``'s back edge
-    targets the header ``s``.  None when the graph is too small or
-    element ``n+1``'s edge misses ``s``, so ``w'`` would lack its
-    leading bit; no codeword has either property.
-
-    On a codeword graph this returns the codeword's watermark.  Proof:
-    in a codeword the leading entries inside ``[n+1, 2n]``, which
-    :func:`decode_sip_to_w` reads, form one ascending run from the
-    first position: ``pi1``, then the rising half of the bitonic
-    ``pi2`` up to ``2n+1`` (in the all-ones case just
-    ``pi1 = n+1..2n``).  So each of them has ``dmax = s``.  Every other
-    element of ``[n+1, 2n]`` (the falling half of ``pi2`` and the fixed
-    point in ``pi3``) lies right of ``2n+1``, so its ``dmax`` is not
-    ``s``.  Hence the elements of ``[n+1, 2n]`` whose back edge targets
-    ``s`` are exactly the ones the decoder reads.
-    """
-    n, header = g.n, g.header
-    edges = g.back_edges
-    if n < 2 or edges[n] != header:
-        return None
-    return int("".join(["1" if target == header else "0" for target in edges[n : 2 * n]]), 2)
-
-
 def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
     """Report Valid(w) or false-incorrect, with per-check explanations.
 
-    The verdict is one comparison: ``g`` is ``Valid(w')`` exactly when
-    its back edges equal the codec's own graph of the watermark ``w'``
-    it spells (see :func:`_read_watermark`).  A graph that is not a
-    codeword graph equals no codec graph, whatever ``w'`` is read.
-    When the comparison fails, the named checks run only to explain
-    which properties the graph lacks.  Note that
-    "true-incorrect" is a relation to an original watermark: a tampered
-    graph that classifies ``Valid(w')`` is true-incorrect relative to
-    the watermark ``w != w'`` it was built from.
+    The verdict is the decoder's: rebuild the permutation from the back
+    edges and decode it.  ``g`` is ``Valid(w')`` exactly when that
+    decodes to ``w'``.  When every back edge points up, ``dmax_map`` of
+    the rebuilt permutation is ``g``'s back edges (see
+    :func:`reconstruct_permutation`), so ``g`` is a codec graph exactly
+    when the rebuilt permutation is a codeword, and the decoder's
+    re-encode accepts exactly the codewords.  When decoding fails, the
+    named checks run on the same permutation to explain which properties
+    the graph lacks, and the decoder's message is the ``roundtrip``
+    reason.  Note that "true-incorrect" is a relation to an original
+    watermark: a tampered graph that classifies ``Valid(w')`` is
+    true-incorrect relative to the watermark ``w != w'`` it was built
+    from.
     """
-    w = _read_watermark(g)
-    if w is not None and g.back_edges == dmax_map(encode_w_to_sip(w)[0]):
-        return ValidityReport(dict.fromkeys(CHECK_NAMES, True), w, ())
-
     checks: dict[str, bool | None] = dict.fromkeys(CHECK_NAMES)
     reasons: list[str] = []
     m = g.n_star
@@ -153,6 +128,12 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
         reasons.append("every back edge must target a strictly larger node")
         reasons.append("decoding skipped: the back edges do not form a forest")
         return ValidityReport(checks, None, tuple(reasons))
+    try:
+        w = decode_sip_to_w(SelfInvertingPermutation._trusted(seq))
+    except NotAWatermark as exc:
+        roundtrip_failure = str(exc)
+    else:
+        return ValidityReport(dict.fromkeys(CHECK_NAMES, True), w, ())
     checks["range_odd_length"] = odd_ok
 
     inv_ok = all(seq[val - 1] == pos for pos, val in enumerate(seq, 1))
@@ -176,10 +157,7 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
 
     if inv_ok and fixed == 1 and odd_ok:
         checks["roundtrip"] = False
-        try:
-            decode_sip_to_w(SelfInvertingPermutation._trusted(seq))
-        except NotAWatermark as exc:  # always, since g is no codec graph
-            reasons.append(str(exc))
+        reasons.append(roundtrip_failure)
     else:
         reasons.append("decoding skipped: permutation checks failed")
     return ValidityReport(checks, None, tuple(reasons))

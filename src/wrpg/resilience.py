@@ -95,12 +95,6 @@ def _closed_form(shape: WatermarkShape) -> int:
     return 4
 
 
-def _one_zero_watermark(n: int, ell: int, r: int, last_bit: int) -> int:
-    """The integer 1 1^ell 0 1^r b of bit-length n."""
-    assert ell + r == n - 3 and ell >= 0 and r >= 0
-    return int("1" + "1" * ell + "0" + "1" * r + str(last_bit), 2)
-
-
 def proof_neighbors(w: int) -> list[tuple[int, int, str]]:
     """Constructive same-length rewrites of ``w`` with predicted costs.
 
@@ -245,8 +239,8 @@ def _domination_maps(n: int, idx: np.ndarray) -> np.ndarray:
     map, the target of element ``e``, then follows from the
     0-positions of ``B'``:
 
-    * a 1-position ``e`` targets ``s`` (the bits :func:`_read_watermark`
-      reads);
+    * a 1-position ``e`` targets ``s`` (so bit ``j`` of ``b`` is 1
+      exactly when element ``n + j`` targets ``s``);
     * a 0-position ``e > n`` targets the next 0-position of ``B'``, or
       ``s`` when ``e = m``;
     * ``e <= n`` targets ``pi(q)``, where ``q`` is the latest 0-position
@@ -437,13 +431,13 @@ def _minima_by_row(n: int) -> _LengthMinima:
 
 
 def strong_watermark_of(n: int) -> int:
-    """The unique strongest watermark form for bit-length ``n``."""
+    """The unique strongest watermark form for bit-length ``n``.
+
+    It is ``1 1^ell 0 1^r 1`` with ``ell = r`` for odd ``n`` and
+    ``r = ell + 1`` for even ``n``: all ones but bit ``r + 1 = n // 2``.
+    """
     _require_closed_form_range(n)
-    if n % 2 == 1:
-        ell = (n - 3) // 2
-        return _one_zero_watermark(n, ell, ell, 1)
-    ell = (n - 4) // 2
-    return _one_zero_watermark(n, ell, ell + 1, 1)
+    return ((1 << n) - 1) ^ (1 << (n // 2))
 
 
 def classify_strength(w: int) -> str:

@@ -290,9 +290,7 @@ def graph_from_json(text: str) -> ReduciblePermutationGraph:
     edges = payload.get("back_edges")
     if not isinstance(edges, list) or len(edges) != nstar:
         raise GraphFormatError(f"back_edges must be a list of {nstar} integers")
-    if not _exact_ints(edges) and any(
-        isinstance(t, bool) or not isinstance(t, int) for t in edges
-    ):
+    if not _exact_ints(edges):  # json.loads makes no int subclass but bool
         raise GraphFormatError("back_edges entries must be integers")
     return ReduciblePermutationGraph(tuple(edges))
 

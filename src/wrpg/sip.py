@@ -106,10 +106,14 @@ class SelfInvertingPermutation:
 
     @classmethod
     def _trusted(cls, elements: tuple[int, ...]) -> "SelfInvertingPermutation":
-        """Wrap ``elements`` without the checks, for the encoder's own
-        output, which is an involution with one fixed point by
-        construction, and for sequences whose caller has just checked
-        that.  External input goes through the constructor."""
+        """Wrap ``elements`` without the checks.
+
+        For the encoder's own output, which is an involution with one
+        fixed point by construction, and for the permutation that
+        ``classify_graph`` rebuilds from a graph, which is unchecked and
+        is only handed to :func:`decode_sip_to_w`; its re-encode and
+        compare accepts exactly the codewords, whatever the input.
+        External input goes through the constructor."""
         sip = object.__new__(cls)
         object.__setattr__(sip, "elements", elements)
         return sip
@@ -179,15 +183,14 @@ def decode_sip_to_w(sip: SelfInvertingPermutation) -> int:
     if n < 2:
         raise NotAWatermark(f"decoded bit-length {n} is below 2")
     lo, hi = n + 1, 2 * n
-    ys: set[int] = set()
+    bits = ["0"] * n  # bits[j - 1] is 1 when n + j is in the leading run
     for value in sip.elements:
-        if lo <= value <= hi:
-            ys.add(value)
-        else:
+        if not lo <= value <= hi:
             break
-    if (n + 1) not in ys:
+        bits[value - lo] = "1"
+    if bits[0] == "0":
         raise NotAWatermark("leading bit decodes to 0")
-    w = int("".join(["1" if n + j in ys else "0" for j in range(1, n + 1)]), 2)
+    w = int("".join(bits), 2)
     re_encoded, _ = encode_w_to_sip(w)
     if re_encoded.elements != sip.elements:
         raise NotAWatermark(f"re-encoding {w} does not reproduce the permutation")

@@ -15,6 +15,9 @@ out as the watermark it yields (``proof_neighbors``).
 Also the table writer as it ran before the CLI wrote its tables
 straight from the sweep's arrays: one record per report, written by
 ``csv.writer`` or ``json.dumps``.
+
+Also the one-zero watermark ``1 1^ell 0 1^r b`` spelled out bit by bit,
+as ``strong_watermark_of`` built it before it became one formula.
 """
 
 import csv
@@ -32,9 +35,14 @@ from wrpg.resilience import (
 from wrpg.sip import CASE_ONE_ZERO, CASE_TWO_ZEROS, WatermarkShape, bit_shape
 
 
+def one_zero_watermark(n: int, ell: int, r: int, last_bit: int) -> int:
+    """The integer 1 1^ell 0 1^r b of bit-length n."""
+    assert ell + r == n - 3 and ell >= 0 and r >= 0
+    return int("1" + "1" * ell + "0" + "1" * r + str(last_bit), 2)
+
+
 def proof_neighbors(w: int, n: int, shape: WatermarkShape) -> list[tuple[int, int, str]]:
     """``resilience.proof_neighbors(w)`` for the ``n``-bit ``w`` of ``shape``."""
-    one_zero = resilience._one_zero_watermark
     out: list[tuple[int, int, str]] = []
     if shape.case == CASE_TWO_ZEROS:
         out.append((w ^ 1, 3, "swap"))
@@ -44,16 +52,16 @@ def proof_neighbors(w: int, n: int, shape: WatermarkShape) -> list[tuple[int, in
             if r > 0:
                 out.append((w | 1, 4 + ell, "swap"))
                 for j in range(1, r + 1):
-                    out.append((one_zero(n, ell + j, r - j, 0), 3 + r, "move-out-pi2"))
+                    out.append((one_zero_watermark(n, ell + j, r - j, 0), 3 + r, "move-out-pi2"))
                 for i in range(1, ell + 1):
-                    out.append((one_zero(n, ell - i, r + i, 0), 3 + i + r, "move-out-pi1"))
+                    out.append((one_zero_watermark(n, ell - i, r + i, 0), 3 + i + r, "move-out-pi1"))
                 out.append(((1 << n) - 1, 4 + r, "all-ones"))
             else:
-                out.append((one_zero(n, ell - 1, 1, 0), 4, "move-out-pi1"))
+                out.append((one_zero_watermark(n, ell - 1, 1, 0), 4, "move-out-pi1"))
         else:
             out.append((w & ~1, 4 + ell, "swap"))
             for j in range(1, r + 1):
-                out.append((one_zero(n, ell + j, r - j, 1), 4 + r, "move-out-pi2"))
+                out.append((one_zero_watermark(n, ell + j, r - j, 1), 4 + r, "move-out-pi2"))
             out.append(((1 << n) - 2, 4 + r, "move-out-pi2"))
     else:
         if shape.last_bit == 0:

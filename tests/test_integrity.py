@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 import wrpg.integrity as integrity
 import wrpg.rpg as rpg
+import wrpg.sip as sip
 from wrpg.errors import UnsupportedAttack
 from wrpg.integrity import (
     CHECK_NAMES,
@@ -110,35 +112,80 @@ def test_classify_never_raises_on_arbitrary_targets():
         assert not report.valid
 
 
-def test_reader_spells_the_watermark_of_every_codeword_graph():
+def test_classify_spells_the_watermark_of_every_codeword_graph():
     for w in range(2, 1 << 12):
-        assert integrity._read_watermark(graph_of(w)) == w
+        report = classify_graph(graph_of(w))
+        assert report.valid and report.watermark == w
     rng = random.Random(20181227)
     for n in (512, 4096):
         for _ in range(4):
             w = (1 << (n - 1)) | rng.getrandbits(n - 1)
-            assert integrity._read_watermark(graph_of(w)) == w
+            report = classify_graph(graph_of(w))
+            assert report.valid and report.watermark == w
 
 
-def test_reader_needs_the_leading_bit():
+def test_classify_needs_the_leading_bit():
     g = graph_of(12)  # n = 4: element 5 targets the header 10
-    assert integrity._read_watermark(apply_edge_edits(g, [EdgeEdit(5, 9)])) is None
+    graphs = [apply_edge_edits(g, [EdgeEdit(5, 9)])]
     for back_edges in [(2,), (4, 4, 4), (5, 5, 5, 5)]:  # too small to hold a watermark
-        assert integrity._read_watermark(ReduciblePermutationGraph(back_edges)) is None
+        graphs.append(ReduciblePermutationGraph(back_edges))
+    for edited in graphs:
+        report = classify_graph(edited)
+        assert not report.valid and report.watermark is None
+        assert report.reasons
 
 
-def test_valid_verdict_needs_neither_reconstruction_nor_sip_checks(monkeypatch):
+def test_valid_verdict_runs_neither_sip_nor_template_checks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the valid path ran a redundant check")
 
-    monkeypatch.setattr(integrity, "reconstruct_permutation", refuse)
-    monkeypatch.setattr(rpg, "reconstruct_permutation", refuse)
+    graphs = {w: graph_of(w) for w in (2, 7, 12, 27, (1 << 64) - 5)}
+    edited = apply_edge_edits(graph_of(12), [EdgeEdit(3, 5)])
+    monkeypatch.setattr(integrity, "template_failures", refuse)
+    monkeypatch.setattr(rpg, "dmax_map", refuse)
     monkeypatch.setattr(SelfInvertingPermutation, "__post_init__", refuse)
-    for w in (2, 7, 12, 27, (1 << 64) - 5):
-        report = classify_graph(graph_of(w))
+    for w, g in graphs.items():
+        report = classify_graph(g)
         assert report.valid and report.watermark == w
     with pytest.raises(AssertionError):  # the patches are live
-        classify_graph(apply_edge_edits(graph_of(12), [EdgeEdit(3, 5)]))
+        classify_graph(edited)
+
+
+def test_classify_rebuilds_once_and_re_encodes_at_most_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        integrity, "reconstruct_permutation", counted("rebuild", rpg.reconstruct_permutation)
+    )
+    monkeypatch.setattr(sip, "encode_w_to_sip", counted("encode", sip.encode_w_to_sip))
+    rng = random.Random(20181227)
+    graphs = [graph_of(w) for w in range(8, 16)]
+    graphs += [graph_of((1 << (n - 1)) | rng.getrandbits(n - 1)) for n in (64, 512)]
+    kinds = Counter()
+    for g in graphs:
+        for source in range(1, g.n_star + 1):
+            for target in (-1, 0, source - 1, source + 1, g.header, g.header + 1):
+                edited = apply_edge_edits(g, [EdgeEdit(source, target)])
+                calls.clear()
+                report = classify_graph(edited)
+                assert calls["rebuild"] == 1, edited.back_edges
+                if report.valid:
+                    kinds["valid"] += 1
+                    assert calls["encode"] == 1, edited.back_edges
+                elif all(i < t <= edited.header for i, t in enumerate(edited.back_edges, 1)):
+                    kinds["upward"] += 1
+                    assert calls["encode"] <= 1, edited.back_edges
+                else:
+                    kinds["downward"] += 1
+                    assert calls["encode"] == 0, edited.back_edges
+    assert min(kinds["valid"], kinds["upward"], kinds["downward"]) > 100, kinds
 
 
 def test_single_edits_never_reach_another_codeword_at_n4():

@@ -12,7 +12,7 @@ from reference_sweep import report_record
 import wrpg.resilience as resilience
 from wrpg.cli import main
 from wrpg.errors import InternalInvariantError
-from wrpg.resilience import proof_neighbors, survey_range, verify_theorem
+from wrpg.resilience import proof_neighbors, strong_watermark_of, survey_range, verify_theorem
 from wrpg.sip import bit_shape
 
 WRITERS = {"csv": reference_sweep.rows_csv, "json": reference_sweep.rows_json}
@@ -77,7 +77,7 @@ def test_proof_neighbors_match_the_per_row_reference_at_large_n(n, sample):
     # random watermarks are almost all Case1, so build the other shapes:
     # every Case2 (ell, r, b_n), and at n = 64 both Case3 forms
     ws = [
-        resilience._one_zero_watermark(n, ell, n - 3 - ell, last_bit)
+        reference_sweep.one_zero_watermark(n, ell, n - 3 - ell, last_bit)
         for ell in range(n - 2)
         for last_bit in (0, 1)
     ]
@@ -87,6 +87,17 @@ def test_proof_neighbors_match_the_per_row_reference_at_large_n(n, sample):
         ws = random.Random(n).sample(ws, sample)
     for w in ws:
         assert proof_neighbors(w) == reference_sweep.proof_neighbors(w, n, bit_shape(w)), w
+
+
+def test_strong_watermark_formula_matches_the_one_zero_form():
+    for n in range(4, 3001):
+        if n % 2 == 1:
+            ell = (n - 3) // 2
+            expected = reference_sweep.one_zero_watermark(n, ell, ell, 1)
+        else:
+            ell = (n - 4) // 2
+            expected = reference_sweep.one_zero_watermark(n, ell, ell + 1, 1)
+        assert strong_watermark_of(n) == expected, n
 
 
 # Two Case2 shapes of bit-length 9; LATE's watermark comes after EARLY's.
