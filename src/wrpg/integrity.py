@@ -10,7 +10,7 @@ already rebuilt to explain which properties an edit destroyed.
 with rich reports.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FalseIncorrectGraph, NotAWatermark, UnsupportedAttack
 from .rpg import ReduciblePermutationGraph, reconstruct_permutation
@@ -26,8 +26,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class EdgeEdit:
+class EdgeEdit(NamedTuple):
     """Retarget element ``source``'s back edge to ``new_target``.
 
     Targets are unconstrained at construction so that invalid attacks
@@ -76,8 +75,7 @@ def apply_edge_edits(
     return ReduciblePermutationGraph(tuple(targets))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """Outcome of classifying one graph.
 
     ``checks`` maps each named check to True/False, or None when an

@@ -19,8 +19,8 @@ bit-length (:func:`_minima_by_row`) instead of one full row scan per
 watermark.  ``minvm_oracle`` stays the brute-force single-row scan and
 is the test reference for the join.  A sweep keeps each bit-length as
 arrays, with the closed form and strength evaluated once per distinct
-shape, and builds ``ResilienceReport`` objects only when a caller asks
-for them; the CLI writes its tables straight from the arrays.  The
+shape, and builds ``ResilienceReport`` named tuples only when a caller
+asks for them; the CLI writes its tables straight from the arrays.  The
 witness check applies each shape's flips to all of that shape's rows,
 one array comparison per flip.
 
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InternalInvariantError,
@@ -51,6 +51,7 @@ from .sip import (
     CASE_ONE_ZERO,
     CASE_TWO_ZEROS,
     WatermarkShape,
+    _Value,
     bit_shape,
     encode_w_to_sip,
     require_watermark,
@@ -337,8 +338,7 @@ _JOIN_RADIUS = 3
 _JOIN_CHUNK = 1 << 14  # candidate pairs checked at once
 
 
-@dataclass(frozen=True, eq=False)
-class _LengthMinima:
+class _LengthMinima(NamedTuple):
     """The oracle's ``minVM`` of every row of one bit-length's table and
     its nearest set as CSR: row ``i``'s ascending nearest watermarks are
     ``nearest[offsets[i]:offsets[i + 1]]``.  With the join's work: pairs
@@ -456,8 +456,7 @@ def _strength(w: int, n: int, shape: WatermarkShape) -> str:
     return ORDINARY
 
 
-@dataclass(frozen=True)
-class ResilienceReport:
+class ResilienceReport(NamedTuple):
     """Full per-watermark analysis.
 
     ``minvm_closed``, ``strength`` and ``agreement`` are None below
@@ -500,8 +499,7 @@ def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
     return _report(w, *minvm_oracle(w, cap=cap))
 
 
-@dataclass(frozen=True, eq=False)
-class _LengthSweep:
+class _LengthSweep(NamedTuple):
     """Every watermark of bit-length ``n`` as arrays over the rows of its
     table (row ``i`` is ``2^(n-1) + i``).  The shapes are the distinct
     ones of the bit-length; ``closed`` and ``strength`` hold one value
@@ -635,8 +633,7 @@ def survey_range(n: int, cap: int = DEFAULT_CAP) -> tuple[ResilienceReport, ...]
     return _survey(n, cap).reports()
 
 
-@dataclass(frozen=True)
-class RangeSummary:
+class RangeSummary(NamedTuple):
     """Per-bit-length roll-up of a verification sweep."""
 
     n: int
@@ -674,14 +671,23 @@ def _summary(sweep: _LengthSweep) -> RangeSummary:
     )
 
 
-@dataclass(frozen=True)
-class TheoremVerification:
+class TheoremVerification(_Value):
     """A sweep's summaries and mismatch reports.  ``reports`` is built
-    from the sweep's per-length arrays on first access."""
+    from the sweep's per-length arrays on first access.  An immutable
+    value: equal and hashed by ``summaries`` and ``mismatches``."""
 
-    summaries: tuple[RangeSummary, ...]
-    mismatches: tuple[ResilienceReport, ...]
-    _sweeps: tuple[_LengthSweep, ...] = field(repr=False, compare=False)
+    __match_args__ = ("summaries", "mismatches", "_sweeps")
+    _compared = 2
+
+    def __init__(
+        self,
+        summaries: tuple[RangeSummary, ...],
+        mismatches: tuple[ResilienceReport, ...],
+        _sweeps: tuple[_LengthSweep, ...],
+    ):
+        object.__setattr__(self, "summaries", summaries)
+        object.__setattr__(self, "mismatches", mismatches)
+        object.__setattr__(self, "_sweeps", _sweeps)
 
     @cached_property
     def reports(self) -> tuple[ResilienceReport, ...]:

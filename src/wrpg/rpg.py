@@ -15,7 +15,9 @@ ascending order left-to-right in the source permutation, the preorder
 that visits children in ascending numeric order is the one-line form.
 Decoding builds that preorder without a tree walk: it inserts the
 elements in descending order into a linked list, each right after its
-parent, and reads the list from ``s``.
+parent, and reads the list from ``s``.  The list is a permutation by
+construction, so :func:`decode_rpg_to_sip` checks only that it has odd
+length and is an involution with one fixed point.
 
 Because the spine is the only way down, a graph is reducible (every
 back-edge target dominates its source) exactly when no back edge points
@@ -23,9 +25,8 @@ below its source; :func:`check_reducibility` checks that in one scan.
 """
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     FalseIncorrectGraph,
@@ -33,34 +34,36 @@ from .errors import (
     SipInvariantError,
     SizeMismatchError,
 )
-from .sip import SelfInvertingPermutation, _exact_ints
+from .sip import SelfInvertingPermutation, _Value, _exact_ints, _require_sip
 
 FOOTER = 0
 FILE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ReduciblePermutationGraph:
+class ReduciblePermutationGraph(_Value):
     """Flow-graph with implicit forward spine and explicit back edges.
 
     ``back_edges[i - 1]`` is the node index targeted by element ``i``'s
     back edge; the value ``n* + 1`` encodes the header ``s``.  Arbitrary
     integer targets are representable so that attacked graphs remain
     first-class values; structural validity is judged by the integrity
-    checks, not at construction.
+    checks, not at construction.  An immutable value: equal and hashed
+    by ``back_edges``.
     """
 
+    __slots__ = ("back_edges",)
+    __match_args__ = ("back_edges",)
     back_edges: tuple[int, ...]
 
-    def __post_init__(self):
-        targets = tuple(self.back_edges)
-        object.__setattr__(self, "back_edges", targets)
+    def __init__(self, back_edges: Sequence[int]):
+        targets = tuple(back_edges)
         if not targets:
             raise GraphFormatError("graph must have at least one interior node")
         if not _exact_ints(targets) and any(
             isinstance(t, bool) or not isinstance(t, int) for t in targets
         ):
             raise GraphFormatError("back-edge targets must be integers")
+        object.__setattr__(self, "back_edges", targets)
 
     @property
     def n_star(self) -> int:
@@ -190,13 +193,16 @@ def decode_rpg_to_sip(g: ReduciblePermutationGraph) -> SelfInvertingPermutation:
     """Extract the self-inverting permutation encoded by ``g``.
 
     Raises :class:`FalseIncorrectGraph` carrying the first failed check
-    when ``g`` is not the graph of a valid permutation codeword.
+    when ``g`` is not the graph of a valid permutation codeword.  The
+    rebuilt candidate is a permutation of ``1..n*`` by construction, so
+    only the odd-length, involution and fixed-point checks run on it.
     """
     candidate = reconstruct_permutation(g)
     try:
-        return SelfInvertingPermutation(candidate)
+        _require_sip(candidate, permutation=True)
     except SipInvariantError as exc:
         raise FalseIncorrectGraph("sip-property", str(exc)) from exc
+    return SelfInvertingPermutation._trusted(candidate)
 
 
 def graph_distance(g1: ReduciblePermutationGraph, g2: ReduciblePermutationGraph) -> int:
@@ -212,8 +218,7 @@ def graph_distance(g1: ReduciblePermutationGraph, g2: ReduciblePermutationGraph)
     return sum(a != b for a, b in zip(g1.back_edges, g2.back_edges))
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(NamedTuple):
     passed: bool
     offending_edge: tuple[int, int] | None
     detail: str

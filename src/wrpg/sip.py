@@ -15,13 +15,15 @@ bits contribute), rebuilds ``w`` from that set, and finally re-encodes
 to confirm the input really is a codeword.  Corrupted permutations are
 therefore reported, never silently mis-decoded.
 
-All values are immutable and all functions are pure; everything here
-is safe for unrestricted concurrent use.
+``WatermarkShape`` and ``EncodingTrace`` are named tuples, and
+``SelfInvertingPermutation`` is a slotted class that validates on
+construction and refuses assignment.  All values are immutable and all
+functions are pure; everything here is safe for unrestricted concurrent
+use.
 """
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotAWatermark, SipInvariantError, WatermarkDomainError
 
@@ -50,8 +52,7 @@ def require_watermark(w: int) -> int:
     return w.bit_length()
 
 
-@dataclass(frozen=True)
-class WatermarkShape:
+class WatermarkShape(NamedTuple):
     """Case split of a watermark's binary form ``1 1^ell 0 1^r b_n``.
 
     ``ell`` and ``r`` are only meaningful for the one-zero case;
@@ -79,41 +80,89 @@ def bit_shape(w: int) -> WatermarkShape:
     return WatermarkShape(CASE_NO_ZEROS, last_bit=last)
 
 
-@dataclass(frozen=True)
-class SelfInvertingPermutation:
+def _require_sip(elems: tuple[int, ...], *, permutation: bool = False) -> None:
+    """Raise :class:`SipInvariantError` unless ``elems`` is a
+    self-inverting permutation with one fixed point.  ``permutation``
+    says that ``elems`` is a permutation of ``1..m`` already, so that
+    only the odd length, involution and fixed-point checks can fail."""
+    m = len(elems)
+    if m % 2 == 0:
+        raise SipInvariantError(f"length must be odd, got {m}")
+    if not permutation and (not _exact_ints(elems) or sorted(elems) != list(range(1, m + 1))):
+        raise SipInvariantError(f"not a permutation of 1..{m}")
+    fixed = 0
+    for pos, val in enumerate(elems, start=1):
+        if elems[val - 1] != pos:
+            raise SipInvariantError("not an involution")
+        if val == pos:
+            fixed += 1
+    if fixed != 1:
+        raise SipInvariantError(f"expected exactly one fixed point, found {fixed}")
+
+
+class _Value:
+    """Base of the immutable value classes.  ``__match_args__`` names
+    the constructor's arguments in order; the first ``_compared`` of
+    them make the repr and are what instances are equal and hashed by.
+    Assignment and deletion raise :class:`AttributeError`, and pickle
+    and copy rebuild an instance through its constructor."""
+
+    __slots__ = ()
+    _compared = 1
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__[: self._compared])
+
+    def __repr__(self) -> str:
+        cells = (f"{name}={value!r}" for name, value in zip(self.__match_args__, self._key()))
+        return f"{type(self).__qualname__}({', '.join(cells)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class SelfInvertingPermutation(_Value):
     """A permutation of ``1..n*`` equal to its own inverse, with exactly
     one fixed point.  ``n*`` is odd and equals ``2n + 1`` for codewords
-    of bit-length ``n``.  Every element must be exactly an ``int``."""
+    of bit-length ``n``.  Every element must be exactly an ``int``.
 
+    An immutable value: equal and hashed by ``elements``."""
+
+    __slots__ = ("elements",)
+    __match_args__ = ("elements",)
     elements: tuple[int, ...]
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
+    def __init__(self, elements: Sequence[int]):
+        elems = tuple(elements)
+        _require_sip(elems)
         object.__setattr__(self, "elements", elems)
-        m = len(elems)
-        if m % 2 == 0:
-            raise SipInvariantError(f"length must be odd, got {m}")
-        if not _exact_ints(elems) or sorted(elems) != list(range(1, m + 1)):
-            raise SipInvariantError(f"not a permutation of 1..{m}")
-        fixed = 0
-        for pos, val in enumerate(elems, start=1):
-            if elems[val - 1] != pos:
-                raise SipInvariantError("not an involution")
-            if val == pos:
-                fixed += 1
-        if fixed != 1:
-            raise SipInvariantError(f"expected exactly one fixed point, found {fixed}")
 
     @classmethod
     def _trusted(cls, elements: tuple[int, ...]) -> "SelfInvertingPermutation":
         """Wrap ``elements`` without the checks.
 
         For the encoder's own output, which is an involution with one
-        fixed point by construction, and for the permutation that
-        ``classify_graph`` rebuilds from a graph, which is unchecked and
-        is only handed to :func:`decode_sip_to_w`; its re-encode and
-        compare accepts exactly the codewords, whatever the input.
-        External input goes through the constructor."""
+        fixed point by construction; for the permutation that
+        :func:`decode_rpg_to_sip` rebuilds from a graph, a permutation
+        by construction that it checks for the other properties; and
+        for the permutation that ``classify_graph`` rebuilds, which is
+        unchecked and is only handed to :func:`decode_sip_to_w`; its
+        re-encode and compare accepts exactly the codewords, whatever
+        the input.  External input goes through the constructor."""
         sip = object.__new__(cls)
         object.__setattr__(sip, "elements", elements)
         return sip
@@ -151,8 +200,7 @@ class SelfInvertingPermutation:
         return cls(values)
 
 
-@dataclass(frozen=True)
-class EncodingTrace:
+class EncodingTrace(NamedTuple):
     """Intermediate artifacts of one encoding run."""
 
     b_prime: str

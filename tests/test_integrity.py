@@ -143,7 +143,7 @@ def test_valid_verdict_runs_neither_sip_nor_template_checks(monkeypatch):
     edited = apply_edge_edits(graph_of(12), [EdgeEdit(3, 5)])
     monkeypatch.setattr(integrity, "template_failures", refuse)
     monkeypatch.setattr(rpg, "dmax_map", refuse)
-    monkeypatch.setattr(SelfInvertingPermutation, "__post_init__", refuse)
+    monkeypatch.setattr(SelfInvertingPermutation, "__init__", refuse)
     for w, g in graphs.items():
         report = classify_graph(g)
         assert report.valid and report.watermark == w
