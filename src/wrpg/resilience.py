@@ -17,27 +17,32 @@ bit-lengths are unreachable).  Three routes to it live here:
 watermark of a bit-length at once; they get it from one exact join per
 bit-length (:func:`_minima_by_row`) instead of one full row scan per
 watermark.  ``minvm_oracle`` stays the brute-force single-row scan and
-is the test reference for the join.  A sweep keeps each bit-length as
-arrays, with the closed form and strength evaluated once per distinct
-shape, and builds ``ResilienceReport`` named tuples only when a caller
-asks for them; the CLI writes its tables straight from the arrays.  The
-witness check applies each shape's flips to all of that shape's rows,
-one array comparison per flip.
+is the test reference for the join and for ``analyze_watermark``.  That
+gets one watermark's oracle from an exact search over its bits
+(:func:`_nearest_by_search`), pruned by a lower bound read from the
+columns that the bits alone fix: it builds a few codewords instead of
+the whole table, and falls back to the row scan only when the bound
+leaves more than ``_SEARCH_ROWS`` of them.  A sweep keeps each
+bit-length as arrays, with the closed form and strength evaluated once
+per distinct shape, and builds ``ResilienceReport`` named tuples only
+when a caller asks for them; the CLI writes its tables straight from
+the arrays.  The witness check applies each shape's flips to all of
+that shape's rows, one array comparison per flip.
 
 The closed form is only defined for bit-length >= 4: hand checks show
 bit-length 3 admits a distance-3 pair that the shape rules would price
 at 4, and bit-length 2 admits distance 2.  The oracle stays available
 there so the deviation can be measured rather than hidden.
 
-Only the oracle needs numpy, so it is imported inside the functions
-that build and search the table: the codec commands never load it.
+Only the table needs numpy, so it is imported inside the functions
+that build and search the table: the codec commands never load it, and
+``analyze`` loads it only when it falls back to the row scan.
 """
-
-from __future__ import annotations
 
 import os
 from collections.abc import Callable
 from functools import cached_property, lru_cache
+from operator import ne
 from typing import NamedTuple
 
 from .errors import (
@@ -199,7 +204,7 @@ def _require_fits(n: int, work_bytes: Callable[[int], int]) -> None:
 
 
 @lru_cache(maxsize=1)
-def _encoded_range(n: int) -> np.ndarray:
+def _encoded_range(n: int) -> "np.ndarray":
     """Back-edge rows for every watermark of bit-length ``n``, ascending.
 
     Row ``w - 2^(n-1)`` holds the domination map of ``w``'s codeword,
@@ -227,7 +232,7 @@ def _encoded_range(n: int) -> np.ndarray:
     return rows
 
 
-def _domination_maps(n: int, idx: np.ndarray) -> np.ndarray:
+def _domination_maps(n: int, idx: "np.ndarray") -> "np.ndarray":
     """Domination maps of the codewords of ``2^(n-1) + idx``, one
     ``uint8`` row each: :func:`encode_w_to_sip` and :func:`dmax_map`
     for all of them at once.
@@ -311,7 +316,7 @@ def encoded_distance(w1: int, w2: int) -> int:
     return sum(a != b for a, b in zip(e1, e2))
 
 
-def _scan_row(rows: np.ndarray, idx: int, lo: int) -> tuple[int, tuple[int, ...]]:
+def _scan_row(rows: "np.ndarray", idx: int, lo: int) -> tuple[int, tuple[int, ...]]:
     """Minimum distance from row ``idx`` to every other row, with the
     ascending watermarks (row + ``lo``) that attain it."""
     import numpy as np
@@ -331,6 +336,90 @@ def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
     return _scan_row(_encoded_range(n), w - lo, lo)
 
 
+# The bounded search builds at most this many codewords (about 20 us
+# each at 14 bits); analyze scans the table for a watermark that needs
+# more.
+_SEARCH_ROWS = 1024
+
+
+def _survivor_count(target: tuple[int, ...], n: int, budget: int) -> int:
+    """How many watermarks of bit-length ``n`` other than the one whose
+    domination map is ``target`` differ from it in at most ``budget``
+    columns ``n+2..2n`` (see :func:`_survivors`), counted without
+    listing them: a DP over the bits ``b_n`` down to ``b_2`` whose state
+    is the next 0-position and the columns that differ so far."""
+    s = 2 * n + 2
+    ways = {(2 * n + 1, 0): 1}  # (next 0-position, columns differing) -> prefixes
+    for j in range(n, 1, -1):
+        column, zero = target[n + j - 1], n + j
+        step = {}
+        for (z, differ), count in ways.items():
+            for key in ((z, differ + (column != s)), (zero, differ + (column != z))):
+                if key[1] <= budget:
+                    step[key] = step.get(key, 0) + count
+        ways = step
+    return sum(ways.values()) - 1  # the target's own bits differ nowhere
+
+
+def _survivors(target: tuple[int, ...], n: int, budget: int) -> list[int]:
+    """Every watermark of bit-length ``n`` whose domination map differs
+    from ``target`` in at most ``budget`` of the columns ``n+2..2n``,
+    ``target``'s own watermark included.
+
+    By the rule proved in :func:`_domination_maps`, element ``n + j``
+    targets ``s`` when ``b_j = 1`` and otherwise the next 0-position of
+    ``B'`` after ``n + j`` (``m`` when there is none).  So walking the
+    bits from ``b_n`` down to ``b_2`` fixes one column per bit, and a
+    prefix whose columns already differ in more than ``budget`` places
+    is dropped with everything below it.  (Columns ``n + 1`` and ``m``
+    target ``s`` in every codeword.)"""
+    s = 2 * n + 2
+    found = []
+    # (bit j to choose, next 0-position, bits chosen, columns still allowed to differ)
+    stack = [(n, 2 * n + 1, 1 << (n - 1), budget)]
+    while stack:
+        j, z, v, left = stack.pop()
+        if j == 1:
+            found.append(v)
+            continue
+        column = target[n + j - 1]
+        if column == s or left:
+            stack.append((j - 1, z, v | 1 << (n - j), left - (column != s)))
+        if column == z or left:
+            stack.append((j - 1, n + j, v, left - (column != z)))
+    return found
+
+
+def _nearest_by_search(w: int, n: int) -> tuple[int, tuple[int, ...]] | None:
+    """``minvm_oracle(w)`` by a bounded search, without the table: or
+    None when a budget has more than ``_SEARCH_ROWS`` rows to build.
+
+    The columns ``n+2..2n`` of a codeword depend only on its bits (see
+    :func:`_survivors`), so the number of them in which another codeword
+    differs from ``w``'s is a lower bound on its distance.  For budgets
+    ``D = 1, 2, ...`` every codeword within that bound of ``D`` is built
+    by the codec and measured; one already measured is not built again.
+    Every codeword left out is more than ``D`` away, so at the first
+    ``D`` where the nearest one measured is at most ``D`` away, its
+    distance is the minimum and the measured codewords at that distance
+    are the whole nearest set.  The closed form is never used.
+    """
+    target = dmax_map(encode_w_to_sip(w)[0])
+    distances = {}  # every other watermark measured so far
+    budget = 0
+    while True:
+        budget += 1
+        if _survivor_count(target, n, budget) > _SEARCH_ROWS:
+            return None
+        for v in _survivors(target, n, budget):
+            if v != w and v not in distances:
+                row = dmax_map(encode_w_to_sip(v)[0])
+                distances[v] = sum(map(ne, row, target))
+        best = min(distances.values(), default=budget + 1)
+        if best <= budget:
+            return best, tuple(sorted(v for v, d in distances.items() if d == best))
+
+
 # Every watermark with two or more internal zeros has its nearest set
 # at distance 3, so a join within radius 3 settles all but the 2n-2
 # others, which get a full row scan.
@@ -345,14 +434,14 @@ class _LengthMinima(NamedTuple):
     whose distance it computed, and rows that had no neighbour within
     the radius and were scanned in full."""
 
-    minvm: np.ndarray
-    offsets: np.ndarray
-    nearest: np.ndarray
+    minvm: "np.ndarray"
+    offsets: "np.ndarray"
+    nearest: "np.ndarray"
     pairs_verified: int
     full_scans: int
 
     @property
-    def nearest_count(self) -> np.ndarray:
+    def nearest_count(self) -> "np.ndarray":
         return self.offsets[1:] - self.offsets[:-1]
 
     def nearest_of(self, row: int) -> tuple[int, ...]:
@@ -496,7 +585,28 @@ def _report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
 
 
 def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
-    return _report(w, *minvm_oracle(w, cap=cap))
+    """Closed form, oracle, nearest set and strength of ``w``.
+
+    The oracle's ``(minVM, nearest)`` comes from the bounded search
+    (:func:`_nearest_by_search`), which needs neither numpy nor the
+    table.  Its bound: columns ``n+2..2n`` of a codeword are fixed by
+    its bits alone, so another codeword is at least as far from ``w``'s
+    as the number of those columns in which the two differ, and a search
+    over the bits from ``b_n`` down drops every prefix that already
+    differs in more places than the budget.  Budgets grow until the
+    nearest codeword built lies within one, which makes the minimum and
+    the nearest set exact.  Before each budget a DP counts the codewords
+    it would build; when that is more than ``_SEARCH_ROWS``, the oracle
+    scans ``w``'s row of the table instead.  The cap and the table's
+    memory budget are checked before any work, whichever path runs.
+    """
+    n = require_watermark(w)
+    _require_within_cap(n, cap)
+    _require_fits(n, _build_bytes)
+    found = _nearest_by_search(w, n)
+    if found is None:
+        found = minvm_oracle(w, cap=cap)
+    return _report(w, *found)
 
 
 class _LengthSweep(NamedTuple):
@@ -508,11 +618,11 @@ class _LengthSweep(NamedTuple):
 
     n: int
     minima: _LengthMinima
-    shape_id: np.ndarray
+    shape_id: "np.ndarray"
     shapes: tuple[WatermarkShape, ...]
     closed: tuple[int | None, ...]
     strength: tuple[str | None, ...]
-    agreement: np.ndarray | None
+    agreement: "np.ndarray | None"
 
     def report(self, row: int) -> ResilienceReport:
         s = int(self.shape_id[row])
@@ -534,7 +644,7 @@ class _LengthSweep(NamedTuple):
         return tuple(self.report(row) for row in (~self.agreement).nonzero()[0].tolist())
 
 
-def _shape_ids(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _shape_ids(n: int) -> "tuple[np.ndarray, np.ndarray]":
     """Each row's index into the distinct shapes of bit-length ``n``, and
     the row that represents each shape.
 

@@ -163,7 +163,7 @@ def decode_a_binary_file(workdir, monkeypatch):
 
 def analyze_without_a_memory_figure(workdir, monkeypatch):
     monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: None)
-    code = main(["analyze", "27"])
+    code = main(["analyze", str(STRONG_14)])
     assert resilience._encoded_range.cache_info().currsize == 1  # the table was built
     return code
 
@@ -191,9 +191,21 @@ def verify_theorem_into_a_missing_directory(workdir, monkeypatch):
     ])
 
 
-ANALYZE_27 = (
-    "w=27 n=5 case=Case2 ell=1 r=1 last_bit=1\nminvm_closed=5\nminvm_oracle=5\n"
-    "agreement=true\nnearest=26,29,30\nnearest_count=3\nstrength=Strong\n"
+# The strong watermarks leave the bounded search more codewords to
+# build than it may, so analyzing them scans the table.
+STRONG_14, STRONG_40 = resilience.strong_watermark_of(14), resilience.strong_watermark_of(40)
+ANALYZE_STRONG_14 = (
+    "w=16255 n=14 case=Case2 ell=5 r=6 last_bit=1\nminvm_closed=9\nminvm_oracle=9\n"
+    "agreement=true\nnearest=16254\nnearest_count=1\nstrength=Strong\n"
+)
+# A weak 40-bit watermark needs no table, so it gets its exact report
+# even where that table could not be allocated: its nearest rewrites
+# each set one more bit, any of bits 0..36.
+ANALYZE_2_39 = (
+    "w=549755813888 n=40 case=Case1 ell= r= last_bit=\nminvm_closed=3\nminvm_oracle=3\n"
+    "agreement=true\n"
+    f"nearest={','.join(str((1 << 39) + (1 << k)) for k in range(37))}\n"
+    "nearest_count=37\nstrength=Weak\n"
 )
 
 
@@ -206,13 +218,15 @@ ANALYZE_27 = (
         (lambda *_: graph_to_json(ReduciblePermutationGraph((2, 3))), GraphFormatError),
         (lambda *_: SelfInvertingPermutation.from_one_line("1 x 3"), SipInvariantError),
         (decode_a_binary_file, (3, "", r"error: binary\.json is not a text file: [^\n]*\n")),
-        (analyze_without_a_memory_figure, (0, ANALYZE_27, "")),
+        (analyze_without_a_memory_figure, (0, ANALYZE_STRONG_14, "")),
         (without_a_memory_figure(lambda: main(["survey", "--bits", "64", "--cap-override", "64"])),
          (3, "", r"error: the 64-bit table needs 2\^63 rows, more than a 64-bit address space\n")),
         (without_a_memory_figure(lambda: main(["survey", "--bits", "50", "--cap-override", "50"])),
          (3, "", r"error: the 50-bit table could not be allocated\n")),
-        (without_a_memory_figure(lambda: main(["analyze", str(1 << 39), "--cap-override", "40"])),
+        (without_a_memory_figure(lambda: main(["analyze", str(STRONG_40), "--cap-override", "40"])),
          (3, "", r"error: the 40-bit table could not be allocated\n")),
+        (without_a_memory_figure(lambda: main(["analyze", str(1 << 39), "--cap-override", "40"])),
+         (0, ANALYZE_2_39, "")),
         (without_a_memory_figure(lambda: resilience.survey_range(50, cap=50)),
          ResourceBoundError),
         (verify_theorem_into_a_missing_directory,
@@ -223,7 +237,8 @@ ANALYZE_27 = (
     ],
     ids=["float-target", "no-nodes", "even-node-count", "non-integer-element",
          "non-text-file", "unknown-physical-memory", "huge-table-unknown-memory",
-         "unallocatable-survey", "unallocatable-analyze", "unallocatable-survey-range",
+         "unallocatable-survey", "unallocatable-analyze", "analyze-without-a-table",
+         "unallocatable-survey-range",
          "verify-theorem-out-in-a-missing-directory",
          "huge-survey", "huge-verify-theorem", "huge-oracle"],
 )
@@ -464,6 +479,7 @@ for argv in (
     ["decode", "f12.attacked.json"],
     ["classify", "f12.attacked.json"],
     ["analyze", "27"],
+    ["analyze", "16255"],
 ):
     results[argv[0] + " " + argv[1]] = [main(argv), loaded()]
 print(json.dumps(results))
@@ -482,7 +498,7 @@ def test_codec_commands_never_load_numpy(workdir, subprocess_env):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    analyze = loaded.pop("analyze 27")
+    analyze = loaded.pop("analyze 16255")
     assert loaded == {
         "import": [],
         "encode 12": [0, []],
@@ -490,6 +506,8 @@ def test_codec_commands_never_load_numpy(workdir, subprocess_env):
         "decode f12.json": [0, []],
         "decode f12.attacked.json": [2, []],
         "classify f12.attacked.json": [2, []],
+        "analyze 27": [0, []],
     }
-    # the oracle's table build loads numpy, and with it whatever numpy imports
+    # the 14-bit strong watermark falls back to the table, whose build
+    # loads numpy, and with it whatever numpy imports
     assert analyze[0] == 0 and "numpy" in analyze[1]

@@ -1,0 +1,150 @@
+"""The bounded search that answers ``analyze_watermark`` without the
+table: exact against the oracle and the join wherever they reach, and
+re-measured through the codec at bit-lengths no table reaches."""
+
+import random
+
+import pytest
+
+import wrpg.resilience as resilience
+from wrpg.resilience import analyze_watermark, minvm_oracle, strong_watermark_of
+from wrpg.rpg import dmax_map, encode_sip_to_rpg, graph_distance
+from wrpg.sip import CASE_TWO_ZEROS, bit_shape, encode_w_to_sip
+
+
+def graph_of(w: int):
+    return encode_sip_to_rpg(encode_w_to_sip(w)[0])
+
+
+def row_of(w: int) -> tuple[int, ...]:
+    return dmax_map(encode_w_to_sip(w)[0])
+
+
+def oracle_of(report) -> tuple[int, tuple[int, ...]]:
+    return report.minvm_oracle, report.nearest
+
+
+def case1_sample(n: int, count: int) -> list[int]:
+    rng = random.Random(20181227 + n)
+    sample = []
+    while len(sample) < count:
+        w = rng.randrange(1 << (n - 1), 1 << n)
+        if bit_shape(w).case == CASE_TWO_ZEROS:
+            sample.append(w)
+    return sample
+
+
+@pytest.fixture
+def no_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"built the {n}-bit table")
+
+    monkeypatch.setattr(resilience, "_encoded_range", refuse)
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """Counts the codewords the search encodes, ``w``'s own included."""
+    built = []
+    encode = resilience.encode_w_to_sip
+
+    def counted(w):
+        built.append(w)
+        return encode(w)
+
+    monkeypatch.setattr(resilience, "encode_w_to_sip", counted)
+    return built
+
+
+def test_analyze_equals_the_join_on_every_small_watermark():
+    for n in range(2, 13):
+        lo = 1 << (n - 1)
+        minima = resilience._minima_by_row(n)
+        for w in range(lo, 2 * lo):
+            expected = int(minima.minvm[w - lo]), minima.nearest_of(w - lo)
+            assert oracle_of(analyze_watermark(w)) == expected, w
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_analyze_equals_the_oracle_on_non_weak_and_sampled_watermarks(n):
+    lo = 1 << (n - 1)
+    non_weak = [w for w in range(lo, 1 << n) if bit_shape(w).case != CASE_TWO_ZEROS]
+    sample = random.Random(20181227 + n).sample(range(lo, 1 << n), 256)
+    for w in non_weak + sample:
+        assert oracle_of(analyze_watermark(w)) == minvm_oracle(w), w
+
+
+def test_the_table_path_gives_the_same_reports(monkeypatch):
+    ws = [*range(2, 1 << 9), *random.Random(14).sample(range(1 << 13, 1 << 14), 64)]
+    searched = [analyze_watermark(w) for w in ws]
+    monkeypatch.setattr(resilience, "_SEARCH_ROWS", 0)
+    resilience._encoded_range.cache_clear()
+    assert [analyze_watermark(w) for w in ws] == searched
+    assert resilience._encoded_range.cache_info().currsize == 1  # the table was scanned
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 16, 24, 32])
+def test_the_survivor_count_equals_the_enumeration(n):
+    lo = 1 << (n - 1)
+    ws = range(lo, 2 * lo) if n <= 8 else random.Random(n).sample(range(lo, 2 * lo), 8)
+    for w in ws:
+        target = row_of(w)
+        for budget in range(1, 5):
+            survivors = resilience._survivors(target, n, budget)
+            assert w in survivors and len(set(survivors)) == len(survivors)
+            assert resilience._survivor_count(target, n, budget) == len(survivors) - 1
+
+
+@pytest.mark.parametrize("n", [5, 8, 11])
+def test_the_survivors_are_every_codeword_within_the_suffix_bound(n):
+    lo = 1 << (n - 1)
+    for w in random.Random(n).sample(range(lo, 2 * lo), 4):
+        target = row_of(w)
+        suffix = {v: sum(a != b for a, b in zip(row_of(v)[n:], target[n:]))
+                  for v in range(lo, 2 * lo)}
+        for budget in range(1, 5):
+            within = sorted(v for v, d in suffix.items() if d <= budget)
+            assert sorted(resilience._survivors(target, n, budget)) == within
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_the_search_is_exact_beyond_any_table(n, no_table):
+    for w in case1_sample(n, 3):
+        found = resilience._nearest_by_search(w, n)
+        assert found is not None, w  # within the search budget
+        best, nearest = found
+        assert nearest == tuple(sorted(nearest)) and w not in nearest
+        graph = graph_of(w)
+        for v in nearest:
+            assert v.bit_length() == n
+            assert graph_distance(graph, graph_of(v)) == best
+        # Every rewrite by one or two bit flips is at least as far, and
+        # exactly as far only when the search reported it.
+        flips = [1 << i for i in range(n - 1)]
+        flips += [a | b for i, a in enumerate(flips) for b in flips[:i]]
+        for flip in flips:
+            d = graph_distance(graph, graph_of(w ^ flip))
+            assert d >= best and (d == best) == (w ^ flip in nearest), (w, flip)
+        # a finding, not an input: the closed form prices Case1 at 3
+        assert best == resilience.minvm_closed_form(w)
+
+
+def test_weak_watermarks_stay_within_the_search_budget(rows_built, no_table):
+    for w in case1_sample(14, 64):
+        rows_built.clear()
+        report = analyze_watermark(w)
+        assert report.minvm_oracle == 3
+        assert len(rows_built) - 1 <= resilience._SEARCH_ROWS, w
+
+
+def test_the_strong_watermark_exceeds_the_search_budget_and_scans_the_table(rows_built):
+    w = strong_watermark_of(14)
+    target = row_of(w)
+    report = analyze_watermark(w)
+    assert resilience._encoded_range.cache_info().currsize == 1  # the table was built
+    assert oracle_of(report) == minvm_oracle(w) == (9, (w - 1,))
+    assert len(rows_built) - 1 <= resilience._SEARCH_ROWS
+    assert any(
+        resilience._survivor_count(target, 14, budget) > resilience._SEARCH_ROWS
+        for budget in range(1, report.minvm_oracle + 1)
+    )
