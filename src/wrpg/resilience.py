@@ -19,15 +19,17 @@ bit-length (:func:`_minima_by_row`) instead of one full row scan per
 watermark.  ``minvm_oracle`` stays the brute-force single-row scan and
 is the test reference for the join and for ``analyze_watermark``.  That
 gets one watermark's oracle from an exact search over its bits
-(:func:`_nearest_by_search`), pruned by a lower bound read from the
-columns that the bits alone fix: it builds a few codewords instead of
-the whole table, and falls back to the row scan only when the bound
-leaves more than ``_SEARCH_ROWS`` of them.  A sweep keeps each
-bit-length as arrays, with the closed form and strength evaluated once
-per distinct shape, and builds ``ResilienceReport`` named tuples only
-when a caller asks for them; the CLI writes its tables straight from
-the arrays.  The witness check applies each shape's flips to all of
-that shape's rows, one array comparison per flip.
+(:func:`_nearest_by_search`): the distance measured to ``w``'s nearest
+witness rewrite bounds it from above, and a lower bound read from the
+columns that the bits alone fix prunes every codeword beyond that.  It
+builds a few codewords instead of the whole table, and falls back to
+the row scan only when the bounds leave more than ``_SEARCH_ROWS`` of
+them.  A sweep keeps each bit-length as arrays, with the closed form
+and strength evaluated once per distinct shape, and builds
+``ResilienceReport`` named tuples only when a caller asks for them; the
+CLI writes its tables straight from the arrays.  The witness check
+applies each shape's flips to all of that shape's rows, one array
+comparison per flip.
 
 The closed form is only defined for bit-length >= 4: hand checks show
 bit-length 3 admits a distance-3 pair that the shape rules would price
@@ -312,8 +314,12 @@ def encoded_distance(w1: int, w2: int) -> int:
     n = require_watermark(w1)
     if require_watermark(w2) != n:
         raise WatermarkDomainError(f"{w1} and {w2} differ in bit-length")
-    e1, e2 = (dmax_map(encode_w_to_sip(w)[0]) for w in (w1, w2))
-    return sum(a != b for a, b in zip(e1, e2))
+    return sum(map(ne, _row(w1), _row(w2)))
+
+
+def _row(w: int) -> tuple[int, ...]:
+    """The back-edge targets of ``w``'s codeword graph, built by the codec."""
+    return dmax_map(encode_w_to_sip(w)[0])
 
 
 def _scan_row(rows: "np.ndarray", idx: int, lo: int) -> tuple[int, tuple[int, ...]]:
@@ -336,35 +342,17 @@ def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
     return _scan_row(_encoded_range(n), w - lo, lo)
 
 
-# The bounded search builds at most this many codewords (about 20 us
-# each at 14 bits); analyze scans the table for a watermark that needs
-# more.
+# The bounded search builds at most this many codewords besides ``w``'s
+# witnesses (about 20 us each at 14 bits); analyze scans the table for a
+# watermark that needs more.
 _SEARCH_ROWS = 1024
 
 
-def _survivor_count(target: tuple[int, ...], n: int, budget: int) -> int:
-    """How many watermarks of bit-length ``n`` other than the one whose
-    domination map is ``target`` differ from it in at most ``budget``
-    columns ``n+2..2n`` (see :func:`_survivors`), counted without
-    listing them: a DP over the bits ``b_n`` down to ``b_2`` whose state
-    is the next 0-position and the columns that differ so far."""
-    s = 2 * n + 2
-    ways = {(2 * n + 1, 0): 1}  # (next 0-position, columns differing) -> prefixes
-    for j in range(n, 1, -1):
-        column, zero = target[n + j - 1], n + j
-        step = {}
-        for (z, differ), count in ways.items():
-            for key in ((z, differ + (column != s)), (zero, differ + (column != z))):
-                if key[1] <= budget:
-                    step[key] = step.get(key, 0) + count
-        ways = step
-    return sum(ways.values()) - 1  # the target's own bits differ nowhere
-
-
-def _survivors(target: tuple[int, ...], n: int, budget: int) -> list[int]:
+def _survivors(target: tuple[int, ...], n: int, budget: int) -> list[int] | None:
     """Every watermark of bit-length ``n`` whose domination map differs
     from ``target`` in at most ``budget`` of the columns ``n+2..2n``,
-    ``target``'s own watermark included.
+    ``target``'s own watermark included; or None as soon as more than
+    ``_SEARCH_ROWS`` others are found.
 
     By the rule proved in :func:`_domination_maps`, element ``n + j``
     targets ``s`` when ``b_j = 1`` and otherwise the next 0-position of
@@ -380,6 +368,8 @@ def _survivors(target: tuple[int, ...], n: int, budget: int) -> list[int]:
     while stack:
         j, z, v, left = stack.pop()
         if j == 1:
+            if len(found) > _SEARCH_ROWS:  # so at least _SEARCH_ROWS + 1 besides w
+                return None
             found.append(v)
             continue
         column = target[n + j - 1]
@@ -392,32 +382,30 @@ def _survivors(target: tuple[int, ...], n: int, budget: int) -> list[int]:
 
 def _nearest_by_search(w: int, n: int) -> tuple[int, tuple[int, ...]] | None:
     """``minvm_oracle(w)`` by a bounded search, without the table: or
-    None when a budget has more than ``_SEARCH_ROWS`` rows to build.
+    None when the bound leaves more than ``_SEARCH_ROWS`` rows to build.
 
-    The columns ``n+2..2n`` of a codeword depend only on its bits (see
-    :func:`_survivors`), so the number of them in which another codeword
-    differs from ``w``'s is a lower bound on its distance.  For budgets
-    ``D = 1, 2, ...`` every codeword within that bound of ``D`` is built
-    by the codec and measured; one already measured is not built again.
-    Every codeword left out is more than ``D`` away, so at the first
-    ``D`` where the nearest one measured is at most ``D`` away, its
-    distance is the minimum and the measured codewords at that distance
-    are the whole nearest set.  The closed form is never used.
+    ``w``'s witness rewrites (:func:`_witness_flips`, and always the
+    flip of ``b_n``) are codewords, so the least distance measured to
+    them, ``U``, bounds the minimum from above, whatever the closed form
+    says.  The columns ``n+2..2n`` of a codeword depend only on its bits
+    (see :func:`_survivors`), so the number of them in which another
+    codeword differs from ``w``'s is a lower bound on its distance: every
+    codeword within ``U`` is among the survivors of budget ``U``.  Those
+    are built by the codec and measured, the witnesses not again, so the
+    least distance measured is the minimum and the codewords measured at
+    it are the whole nearest set.  The closed form is never used.
     """
-    target = dmax_map(encode_w_to_sip(w)[0])
-    distances = {}  # every other watermark measured so far
-    budget = 0
-    while True:
-        budget += 1
-        if _survivor_count(target, n, budget) > _SEARCH_ROWS:
-            return None
-        for v in _survivors(target, n, budget):
-            if v != w and v not in distances:
-                row = dmax_map(encode_w_to_sip(v)[0])
-                distances[v] = sum(map(ne, row, target))
-        best = min(distances.values(), default=budget + 1)
-        if best <= budget:
-            return best, tuple(sorted(v for v, d in distances.items() if d == best))
+    target = _row(w)
+    flips = {1, *(flip for flip, _, _ in _witness_flips(bit_shape(w)) if flip < 1 << (n - 1))}
+    distances = {w ^ flip: sum(map(ne, _row(w ^ flip), target)) for flip in flips}
+    survivors = _survivors(target, n, min(distances.values()))
+    if survivors is None:
+        return None
+    for v in survivors:
+        if v != w and v not in distances:
+            distances[v] = sum(map(ne, _row(v), target))
+    best = min(distances.values())
+    return best, tuple(sorted(v for v, d in distances.items() if d == best))
 
 
 # Every watermark with two or more internal zeros has its nearest set
@@ -589,16 +577,17 @@ def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
 
     The oracle's ``(minVM, nearest)`` comes from the bounded search
     (:func:`_nearest_by_search`), which needs neither numpy nor the
-    table.  Its bound: columns ``n+2..2n`` of a codeword are fixed by
+    table.  The distance measured to ``w``'s nearest witness rewrite,
+    ``U``, is its budget.  Columns ``n+2..2n`` of a codeword are fixed by
     its bits alone, so another codeword is at least as far from ``w``'s
     as the number of those columns in which the two differ, and a search
     over the bits from ``b_n`` down drops every prefix that already
-    differs in more places than the budget.  Budgets grow until the
-    nearest codeword built lies within one, which makes the minimum and
-    the nearest set exact.  Before each budget a DP counts the codewords
-    it would build; when that is more than ``_SEARCH_ROWS``, the oracle
-    scans ``w``'s row of the table instead.  The cap and the table's
-    memory budget are checked before any work, whichever path runs.
+    differs in more than ``U`` places.  Every codeword within ``U`` is
+    built and measured, which makes the minimum and the nearest set
+    exact.  When the search finds more than ``_SEARCH_ROWS`` codewords
+    to build, it stops, and the oracle scans ``w``'s row of the table
+    instead.  The cap and the table's memory budget are checked before
+    any work, whichever path runs.
     """
     n = require_watermark(w)
     _require_within_cap(n, cap)

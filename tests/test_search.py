@@ -56,13 +56,43 @@ def rows_built(monkeypatch):
     return built
 
 
-def test_analyze_equals_the_join_on_every_small_watermark():
+@pytest.fixture
+def fallbacks(monkeypatch, rows_built):
+    """Each ``(w, codewords built so far)`` at which analyze falls back to
+    the table scan."""
+    scans = []
+    scan = resilience.minvm_oracle
+
+    def counted(w, cap=resilience.DEFAULT_CAP):
+        scans.append((w, len(rows_built)))
+        return scan(w, cap=cap)
+
+    monkeypatch.setattr(resilience, "minvm_oracle", counted)
+    return scans
+
+
+# Per bit-length, over every watermark: the codewords that the searches
+# which answered built besides w itself, and how many watermarks fell
+# back to the table instead.  A looser search bound would build more.
+SEARCH_WORK = {
+    2: (2, 0), 3: (12, 0), 4: (56, 0), 5: (210, 0), 6: (654, 0), 7: (1798, 0),
+    8: (4553, 0), 9: (10904, 0), 10: (25160, 0), 11: (56559, 0), 12: (107226, 11),
+}
+
+
+def test_analyze_equals_the_join_on_every_small_watermark(rows_built, fallbacks):
     for n in range(2, 13):
         lo = 1 << (n - 1)
         minima = resilience._minima_by_row(n)
+        built = 0
+        fallbacks.clear()
         for w in range(lo, 2 * lo):
             expected = int(minima.minvm[w - lo]), minima.nearest_of(w - lo)
+            rows_built.clear()
             assert oracle_of(analyze_watermark(w)) == expected, w
+            if not fallbacks or fallbacks[-1][0] != w:
+                built += len(rows_built) - 1
+        assert (built, len(fallbacks)) == SEARCH_WORK[n], n
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -84,15 +114,24 @@ def test_the_table_path_gives_the_same_reports(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 16, 24, 32])
-def test_the_survivor_count_equals_the_enumeration(n):
+def test_the_survivor_count_equals_the_enumeration(n, monkeypatch):
+    """The enumeration stops exactly when it holds more than
+    ``_SEARCH_ROWS`` codewords besides w, and is otherwise whole."""
     lo = 1 << (n - 1)
     ws = range(lo, 2 * lo) if n <= 8 else random.Random(n).sample(range(lo, 2 * lo), 8)
     for w in ws:
         target = row_of(w)
         for budget in range(1, 5):
-            survivors = resilience._survivors(target, n, budget)
-            assert w in survivors and len(set(survivors)) == len(survivors)
-            assert resilience._survivor_count(target, n, budget) == len(survivors) - 1
+            monkeypatch.setattr(resilience, "_SEARCH_ROWS", 1 << 62)
+            every = resilience._survivors(target, n, budget)
+            assert w in every and len(set(every)) == len(every)
+            for limit in (0, 1, 7, 50):
+                monkeypatch.setattr(resilience, "_SEARCH_ROWS", limit)
+                capped = resilience._survivors(target, n, budget)
+                if len(every) - 1 > limit:
+                    assert capped is None, (w, budget, limit)
+                else:
+                    assert capped == every, (w, budget, limit)
 
 
 @pytest.mark.parametrize("n", [5, 8, 11])
@@ -143,8 +182,21 @@ def test_the_strong_watermark_exceeds_the_search_budget_and_scans_the_table(rows
     report = analyze_watermark(w)
     assert resilience._encoded_range.cache_info().currsize == 1  # the table was built
     assert oracle_of(report) == minvm_oracle(w) == (9, (w - 1,))
-    assert len(rows_built) - 1 <= resilience._SEARCH_ROWS
-    assert any(
-        resilience._survivor_count(target, 14, budget) > resilience._SEARCH_ROWS
-        for budget in range(1, report.minvm_oracle + 1)
-    )
+    assert len(rows_built) - 1 <= 14
+    assert resilience._survivors(target, 14, report.minvm_oracle) is None
+
+
+@pytest.mark.parametrize("n, count", [(12, 11), (13, 17), (14, 21)])
+def test_a_fallback_builds_no_more_than_the_witnesses(n, count, rows_built, fallbacks):
+    """A watermark that falls back builds at most n codewords besides
+    itself before the table scan: its witnesses, not a search it drops.
+    Only watermarks with fewer than two internal zeros fall back."""
+    lo = 1 << (n - 1)
+    for w in range(lo, 2 * lo):
+        if bit_shape(w).case != CASE_TWO_ZEROS:
+            rows_built.clear()
+            analyze_watermark(w)
+    assert len(fallbacks) == count
+    assert strong_watermark_of(n) in dict(fallbacks)
+    for w, built in fallbacks:
+        assert built - 1 <= n, w
