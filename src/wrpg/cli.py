@@ -73,14 +73,14 @@ def _build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="resilience report for one watermark")
     analyze.add_argument("w", type=int)
-    analyze.add_argument("--cap-override", type=int, default=None, metavar="BITS",
+    analyze.add_argument("--cap-override", type=int, default=DEFAULT_CAP, metavar="BITS",
                          help=f"raise the enumeration cap (default {DEFAULT_CAP})")
 
     survey = sub.add_parser("survey", help="resilience table for a whole bit-length")
     survey.add_argument("--bits", type=int, required=True)
     survey.add_argument("--format", choices=("csv", "json"), default="csv")
     survey.add_argument("--out", help="write the table here instead of stdout")
-    survey.add_argument("--cap-override", type=int, default=None, metavar="BITS")
+    survey.add_argument("--cap-override", type=int, default=DEFAULT_CAP, metavar="BITS")
 
     verify = sub.add_parser(
         "verify-theorem",
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("--bits-max", type=int, required=True)
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
     verify.add_argument("--out", help="write the per-watermark rows here")
-    verify.add_argument("--cap-override", type=int, default=None, metavar="BITS")
+    verify.add_argument("--cap-override", type=int, default=DEFAULT_CAP, metavar="BITS")
 
     return parser
 
@@ -182,10 +182,6 @@ def _emit(chunks, out: str | None) -> None:
             file.writelines(chunks)
 
 
-def _cap(args) -> int:
-    return args.cap_override if args.cap_override is not None else DEFAULT_CAP
-
-
 def _cmd_encode(args) -> int:
     permutation, _ = encode_w_to_sip(args.w)
     graph = encode_sip_to_rpg(permutation)
@@ -252,17 +248,17 @@ def _print_report(report: ResilienceReport) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    _print_report(analyze_watermark(args.w, cap=_cap(args)))
+    _print_report(analyze_watermark(args.w, cap=args.cap_override))
     return EXIT_OK
 
 
 def _cmd_survey(args) -> int:
-    _emit(_table([_survey(args.bits, _cap(args))], args.format), args.out)
+    _emit(_table([_survey(args.bits, args.cap_override)], args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    result = verify_theorem(args.bits_min, args.bits_max, cap=_cap(args))
+    result = verify_theorem(args.bits_min, args.bits_max, cap=args.cap_override)
     if args.out:
         _emit(_table(result._sweeps, args.format), args.out)
     for s in result.summaries:

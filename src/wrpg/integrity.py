@@ -60,18 +60,22 @@ def apply_edge_edits(
 ) -> ReduciblePermutationGraph:
     """Return a copy of ``g`` with the listed back edges retargeted.
 
-    Only back edges may be edited; the forward spine and the header and
-    footer are outside the modification model.  No validity judgement
-    is made here.
+    Each edit is a ``(source, new_target)`` pair: an :class:`EdgeEdit`
+    or any 2-tuple.  Only back edges may be edited; the forward spine
+    and the header and footer are outside the modification model.  No
+    validity judgement is made here.
     """
     targets = list(g.back_edges)
     for edit in edits:
-        source = edit.source
+        try:
+            source, new_target = edit
+        except (TypeError, ValueError) as exc:
+            raise UnsupportedAttack(f"edit {edit!r} is not a (source, new_target) pair") from exc
         if isinstance(source, bool) or not isinstance(source, int) or not 1 <= source <= g.n_star:
             raise UnsupportedAttack(
                 f"edit source {source!r} is not an interior node (1..{g.n_star})"
             )
-        targets[source - 1] = edit.new_target
+        targets[source - 1] = new_target
     return ReduciblePermutationGraph(tuple(targets))
 
 

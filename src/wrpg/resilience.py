@@ -59,6 +59,7 @@ from .sip import (
     CASE_TWO_ZEROS,
     WatermarkShape,
     _Value,
+    _require_int,
     bit_shape,
     encode_w_to_sip,
     require_watermark,
@@ -70,11 +71,6 @@ CLOSED_FORM_MIN_BITS = 4
 WEAK = "Weak"
 STRONG = "Strong"
 ORDINARY = "Ordinary"
-
-
-def _require_int(value: int, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WatermarkDomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_closed_form_range(n: int) -> None:
@@ -298,7 +294,8 @@ def _domination_maps(n: int, idx: "np.ndarray") -> "np.ndarray":
 
 
 def _require_within_cap(n: int, cap: int) -> None:
-    _require_int(n, "bit-length")
+    """Raise unless ``cap`` is an integer and the bit-length ``n``, which
+    every caller has checked already, is at most ``cap``."""
     _require_int(cap, "cap")
     if n > cap:
         raise ResourceBoundError(
@@ -690,32 +687,25 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
     import numpy as np
 
     n, rows = sweep.n, _encoded_range(sweep.n)
-    by_shape = np.argsort(sweep.shape_id, kind="stable")
-    bounds = np.searchsorted(sweep.shape_id[by_shape], np.arange(len(sweep.shapes) + 1))
-    failures = []  # (row, rule index, flip, cost, rule, measured or None)
+    first = None  # (row, rule index, message) of the first failure so far
     for s, shape in enumerate(sweep.shapes):
-        idx = by_shape[bounds[s] : bounds[s + 1]]
+        idx = np.flatnonzero(sweep.shape_id == s)
         for k, (flip, cost, rule) in enumerate(_witness_flips(shape)):
             if flip <= 0 or flip >> (n - 1):
-                failures.append((int(idx[0]), k, flip, cost, rule, None))
-                continue
-            # flip < 2^(n-1) keeps the leading bit, so w ^ flip is row idx ^ flip
-            measured = np.count_nonzero(rows[idx] != rows[idx ^ flip], axis=1)
-            wrong = np.flatnonzero(measured != cost)
-            if len(wrong):
-                first = wrong[0]
-                failures.append((int(idx[first]), k, flip, cost, rule, int(measured[first])))
-    if failures:
-        row, _, flip, cost, rule, measured = min(failures, key=lambda f: f[:2])
-        w = (1 << (n - 1)) + row
-        if measured is None:
-            raise InternalInvariantError(
-                f"witness {w ^ flip} of w={w} ({rule}) leaves the bit-length range"
-            )
-        raise InternalInvariantError(
-            f"witness {w ^ flip} of w={w} ({rule}) predicted cost "
-            f"{cost} but measures {measured}"
-        )
+                row, problem = int(idx[0]), "leaves the bit-length range"
+            else:
+                # flip < 2^(n-1) keeps the leading bit, so w ^ flip is row idx ^ flip
+                measured = np.count_nonzero(rows[idx] != rows[idx ^ flip], axis=1)
+                wrong = np.flatnonzero(measured != cost)
+                if not len(wrong):
+                    continue
+                row = int(idx[wrong[0]])
+                problem = f"predicted cost {cost} but measures {measured[wrong[0]]}"
+            if first is None or (row, k) < first[:2]:
+                w = (1 << (n - 1)) + row
+                first = row, k, f"witness {w ^ flip} of w={w} ({rule}) {problem}"
+    if first is not None:
+        raise InternalInvariantError(first[2])
 
 
 def _survey(n: int, cap: int) -> _LengthSweep:

@@ -19,6 +19,15 @@ parent, and reads the list from ``s``.  The list is a permutation by
 construction, so :func:`decode_rpg_to_sip` checks only that it has odd
 length and is an involution with one fixed point.
 
+A graph's targets are checked to be exact ints once, where they enter:
+by the :class:`ReduciblePermutationGraph` constructor, which
+:func:`~wrpg.integrity.apply_edge_edits` and :func:`encode_sip_to_rpg`
+on a plain sequence use, or by :func:`graph_from_json`'s own scan of a
+file.  The graph that :func:`encode_sip_to_rpg` builds from a
+:class:`SelfInvertingPermutation` is not scanned, since its domination
+map is exact ints by construction.  Whether the targets form a codeword
+graph is judged by decoding, not at construction.
+
 Because the spine is the only way down, a graph is reducible (every
 back-edge target dominates its source) exactly when no back edge points
 below its source; :func:`check_reducibility` checks that in one scan.
@@ -34,7 +43,7 @@ from .errors import (
     SipInvariantError,
     SizeMismatchError,
 )
-from .sip import SelfInvertingPermutation, _Value, _exact_ints, _require_sip
+from .sip import SelfInvertingPermutation, _Value, _exact_ints, _is_permutation, _require_sip
 
 FOOTER = 0
 FILE_FORMAT_VERSION = 1
@@ -104,12 +113,7 @@ def dmax_map(perm: SelfInvertingPermutation | Sequence[int]) -> tuple[int, ...]:
     checked again.
     """
     m = len(perm)
-    if not isinstance(perm, SelfInvertingPermutation) and not (
-        _exact_ints(perm)
-        and len(set(perm)) == m
-        and min(perm, default=1) >= 1
-        and max(perm, default=m) <= m
-    ):
+    if not isinstance(perm, SelfInvertingPermutation) and not _is_permutation(perm):
         raise SipInvariantError(f"not a permutation of 1..{m}")
     targets = [0] * m
     # the stack's top is held in ``top``; the header starts there and is
@@ -129,11 +133,13 @@ def encode_sip_to_rpg(sip: SelfInvertingPermutation | Sequence[int]) -> Reducibl
     """Build the flow-graph of a permutation from its domination map.
 
     Raises :class:`SipInvariantError` when ``sip`` is not a permutation
-    of 1..m (see :func:`dmax_map`).
+    of 1..m (see :func:`dmax_map`).  The map of a
+    :class:`SelfInvertingPermutation` is a non-empty tuple of exact ints,
+    so its graph is built without the constructor's checks.
     """
-    if not isinstance(sip, SelfInvertingPermutation):
-        sip = tuple(sip)
-    return ReduciblePermutationGraph(dmax_map(sip))
+    if isinstance(sip, SelfInvertingPermutation):
+        return ReduciblePermutationGraph._trusted(dmax_map(sip))
+    return ReduciblePermutationGraph(dmax_map(tuple(sip)))
 
 
 def reconstruct_permutation(g: ReduciblePermutationGraph) -> tuple[int, ...]:
@@ -297,7 +303,7 @@ def graph_from_json(text: str) -> ReduciblePermutationGraph:
         raise GraphFormatError(f"back_edges must be a list of {nstar} integers")
     if not _exact_ints(edges):  # json.loads makes no int subclass but bool
         raise GraphFormatError("back_edges entries must be integers")
-    return ReduciblePermutationGraph(tuple(edges))
+    return ReduciblePermutationGraph._trusted(tuple(edges))  # nstar >= 5 and scanned
 
 
 def save_graph(g: ReduciblePermutationGraph, path: str | Path) -> None:

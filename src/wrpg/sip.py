@@ -43,10 +43,20 @@ def _exact_ints(values: Sequence[object]) -> bool:
     return list(map(type, values)).count(int) == len(values)
 
 
+def _is_permutation(values: Sequence[object]) -> bool:
+    """True when ``values`` is a permutation of ``1..len(values)`` whose
+    elements are all exactly ``int``."""
+    return _exact_ints(values) and sorted(values) == list(range(1, len(values) + 1))
+
+
+def _require_int(value: int, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WatermarkDomainError(f"{name} must be an integer, got {value!r}")
+
+
 def require_watermark(w: int) -> int:
     """Validate ``w`` and return its bit-length ``n`` (always >= 2)."""
-    if isinstance(w, bool) or not isinstance(w, int):
-        raise WatermarkDomainError(f"watermark must be an integer, got {w!r}")
+    _require_int(w, "watermark")
     if w < 2:
         raise WatermarkDomainError(f"watermark must be >= 2, got {w}")
     return w.bit_length()
@@ -88,7 +98,7 @@ def _require_sip(elems: tuple[int, ...], *, permutation: bool = False) -> None:
     m = len(elems)
     if m % 2 == 0:
         raise SipInvariantError(f"length must be odd, got {m}")
-    if not permutation and (not _exact_ints(elems) or sorted(elems) != list(range(1, m + 1))):
+    if not permutation and not _is_permutation(elems):
         raise SipInvariantError(f"not a permutation of 1..{m}")
     fixed = 0
     for pos, val in enumerate(elems, start=1):
@@ -134,6 +144,34 @@ class _Value:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """Build an instance from the constructor's arguments, already
+        in their stored form, without the constructor's checks.
+
+        Only for values that pass those checks by construction, or that
+        reach no code that needs them.  The trusted uses are:
+
+        * the encoder's output, an involution with one fixed point;
+        * the permutation that :func:`~wrpg.rpg.decode_rpg_to_sip`
+          rebuilds from a graph, a permutation by construction that it
+          checks for the other properties;
+        * the permutation that ``classify_graph`` rebuilds, which is
+          unchecked and is only handed to :func:`decode_sip_to_w`, whose
+          re-encode and compare accepts exactly the codewords, whatever
+          the input;
+        * the graph that :func:`~wrpg.rpg.encode_sip_to_rpg` builds from
+          a :class:`SelfInvertingPermutation`, whose domination map is a
+          non-empty tuple of exact ints;
+        * the graph that :func:`~wrpg.rpg.graph_from_json` reads, after
+          its own scan of the targets.
+
+        External input goes through the constructor."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__match_args__, values):
+            object.__setattr__(value, name, field)
+        return value
+
 
 class SelfInvertingPermutation(_Value):
     """A permutation of ``1..n*`` equal to its own inverse, with exactly
@@ -150,22 +188,6 @@ class SelfInvertingPermutation(_Value):
         elems = tuple(elements)
         _require_sip(elems)
         object.__setattr__(self, "elements", elems)
-
-    @classmethod
-    def _trusted(cls, elements: tuple[int, ...]) -> "SelfInvertingPermutation":
-        """Wrap ``elements`` without the checks.
-
-        For the encoder's own output, which is an involution with one
-        fixed point by construction; for the permutation that
-        :func:`decode_rpg_to_sip` rebuilds from a graph, a permutation
-        by construction that it checks for the other properties; and
-        for the permutation that ``classify_graph`` rebuilds, which is
-        unchecked and is only handed to :func:`decode_sip_to_w`; its
-        re-encode and compare accepts exactly the codewords, whatever
-        the input.  External input goes through the constructor."""
-        sip = object.__new__(cls)
-        object.__setattr__(sip, "elements", elements)
-        return sip
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -261,15 +283,17 @@ def template_failures(elements: Sequence[int]) -> list[tuple[str, str]]:
     pi3 || pi4`` of a codeword permutation.
 
     Returns the failed clauses as ``(clause, message)`` pairs, empty
-    when the template holds.  ``pi1`` is the leading run
-    ``(n+1, .., n+k)``; ``pi2`` holds ``{n+k+2..2n+1}`` and is bitonic;
-    ``pi3`` is ``(1..k, alpha)`` with the fixed point ``alpha = n+k+1``;
-    ``pi4`` lists ``pi2``'s positions by ascending element.
+    when the template holds.  Input that is not an odd-length
+    permutation of ``1..n*`` in exact ints fails ``not_a_permutation``
+    alone.  ``pi1`` is the leading run ``(n+1, .., n+k)``; ``pi2``
+    holds ``{n+k+2..2n+1}`` and is bitonic; ``pi3`` is
+    ``(1..k, alpha)`` with the fixed point ``alpha = n+k+1``; ``pi4``
+    lists ``pi2``'s positions by ascending element.
     """
     elems = tuple(elements)
     m = len(elems)
     n = (m - 1) // 2
-    if m % 2 == 0 or sorted(elems) != list(range(1, m + 1)):
+    if m % 2 == 0 or not _is_permutation(elems):
         return [("not_a_permutation", "input is not an odd-length permutation of 1..n*")]
     if elems[0] != n + 1:
         return [("pi1_start", f"pi1 must start at {n + 1}, got {elems[0]}")]

@@ -10,12 +10,34 @@ values and raises the same exceptions and messages.
 
 ``dmax_map`` here does not check its input: on a sequence that is not a
 permutation it returns a wrong map or raises a bare error, so it is a
-reference only for permutations.
+reference only for permutations.  The two permutation tests that the
+SIP constructor and ``dmax_map`` ran before they shared one are kept as
+``sip_permutation_test`` and ``dmax_permutation_test``.
 """
 
 from wrpg.errors import FalseIncorrectGraph
 from wrpg.rpg import ReducibilityReport, ReduciblePermutationGraph
 from wrpg.sip import EncodingTrace, SelfInvertingPermutation, require_watermark
+
+
+def _exact_ints(values) -> bool:
+    """True when every value is exactly an ``int``: no ``bool``, no subclass."""
+    return list(map(type, values)).count(int) == len(values)
+
+
+def sip_permutation_test(elems) -> bool:
+    m = len(elems)
+    return not (not _exact_ints(elems) or sorted(elems) != list(range(1, m + 1)))
+
+
+def dmax_permutation_test(perm) -> bool:
+    m = len(perm)
+    return (
+        _exact_ints(perm)
+        and len(set(perm)) == m
+        and min(perm, default=1) >= 1
+        and max(perm, default=m) <= m
+    )
 
 
 def dmax_map(perm):

@@ -1,5 +1,7 @@
 from types import SimpleNamespace
 
+import pytest
+
 from wrpg.sip import encode_w_to_sip, template_failures
 
 
@@ -95,3 +97,10 @@ def test_decompose_accepts_every_codeword_and_rejects_corruptions():
     elems = list(permutation.elements)
     elems[0], elems[1] = elems[1], elems[0]
     assert template_failures(tuple(elems))
+
+
+@pytest.mark.parametrize("elements", [(True, 3, 2), (1.0, 3, 2), ("a", 1, 2)])
+def test_template_rejects_elements_that_are_not_ints(elements):
+    assert template_failures(elements) == [
+        ("not_a_permutation", "input is not an odd-length permutation of 1..n*")
+    ]

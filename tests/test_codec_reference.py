@@ -8,6 +8,8 @@ randomly attacked graphs of each of them and on random permutations.
 
 import json
 import random
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 import reference_codec as ref
@@ -23,7 +25,7 @@ from wrpg.rpg import (
     graph_to_json,
     reconstruct_permutation,
 )
-from wrpg.sip import SelfInvertingPermutation, encode_w_to_sip
+from wrpg.sip import SelfInvertingPermutation, _is_permutation, encode_w_to_sip
 
 SEEDED_BITS = {13: 40, 14: 40, 15: 40, 64: 20, 512: 6, 4096: 2}
 
@@ -159,6 +161,41 @@ def test_graph_files_reject_entries_that_are_not_ints(bad):
         with pytest.raises(GraphFormatError) as err:
             graph_from_json(broken)
         assert str(err.value) == "back_edges entries must be integers"
+
+
+def permutation_test_corpus():
+    """Every permutation of 1..m for m = 0..6, each of them with one
+    element replaced by a value that breaks it, and 500 seeded random
+    int tuples."""
+    replacements = (
+        lambda perm, i: True,
+        lambda perm, i: 1.0,
+        lambda perm, i: Int(perm[i]),
+        lambda perm, i: "1",
+        lambda perm, i: perm[i - 1],  # a duplicate, except when m = 1
+        lambda perm, i: 0,
+        lambda perm, i: len(perm) + 1,
+    )
+    for m in range(7):
+        for perm in permutations(range(1, m + 1)):
+            yield perm
+            for i, replace in product(range(m), replacements):
+                yield perm[:i] + (replace(perm, i),) + perm[i + 1 :]
+    rng = random.Random(18)
+    for _ in range(500):
+        m = rng.randrange(9)
+        yield tuple(rng.randrange(-1, m + 3) for _ in range(m))
+
+
+def test_the_shared_permutation_test_agrees_with_both_old_ones():
+    verdicts = []
+    for values in permutation_test_corpus():
+        verdict = _is_permutation(values)
+        assert verdict == ref.sip_permutation_test(values), values
+        assert verdict == ref.dmax_permutation_test(values), values
+        verdicts.append(verdict)
+    assert len(verdicts) == 874 + 7 * sum(m * factorial(m) for m in range(7)) + 500
+    assert verdicts.count(True) >= 874
 
 
 def test_a_long_chain_decodes_without_recursion():

@@ -39,6 +39,15 @@ def test_edits_outside_interior_nodes_are_unsupported():
             apply_edge_edits(g, [EdgeEdit(source, 5)])
 
 
+def test_edits_are_source_target_pairs():
+    g = graph_of(12)
+    assert apply_edge_edits(g, [(3, 5)]) == apply_edge_edits(g, [EdgeEdit(3, 5)])
+    for edit in ((1,), 5, (1, 2, 3)):
+        with pytest.raises(UnsupportedAttack) as err:
+            apply_edge_edits(g, [edit])
+        assert repr(edit) in str(err.value)
+
+
 def test_repeated_source_last_edit_wins():
     g = graph_of(12)
     edited = apply_edge_edits(g, [EdgeEdit(3, 5), EdgeEdit(3, 9)])

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import wrpg.rpg as rpg
 from wrpg.errors import FalseIncorrectGraph, GraphFormatError, SizeMismatchError
 from wrpg.rpg import (
     ReduciblePermutationGraph,
@@ -18,6 +19,7 @@ from wrpg.rpg import (
     reconstruct_permutation,
     save_graph,
 )
+from wrpg.integrity import apply_edge_edits
 from wrpg.sip import encode_w_to_sip
 
 
@@ -181,3 +183,30 @@ def test_dot_export():
 def test_dot_rejects_targets_outside_the_node_space():
     with pytest.raises(GraphFormatError):
         graph_to_dot(ReduciblePermutationGraph((99, 4, 4)))
+
+
+@pytest.mark.parametrize("n", [4, 64, 4096])
+def test_graph_targets_are_scanned_once_where_they_enter(monkeypatch, tmp_path, n):
+    scans = []
+    exact_ints = rpg._exact_ints
+
+    def counted(values):
+        scans.append(len(values))
+        return exact_ints(values)
+
+    monkeypatch.setattr(rpg, "_exact_ints", counted)
+    w = random.Random(n).getrandbits(n) | 1 << (n - 1)
+    g = encode_sip_to_rpg(encode_w_to_sip(w)[0])
+    assert scans == []
+    text = graph_to_json(g)
+    assert graph_from_json(text) == g
+    assert len(scans) == 1
+    path = tmp_path / "g.json"
+    save_graph(g, path)
+    assert load_graph(path) == g
+    assert len(scans) == 2
+    # a graph-audit item: encode, write, read back, attack
+    scans.clear()
+    graph = graph_from_json(graph_to_json(encode_sip_to_rpg(encode_w_to_sip(w)[0])))
+    apply_edge_edits(graph, [(3, 2 * n + 2)])
+    assert scans == [2 * n + 1] * 2
