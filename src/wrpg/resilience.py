@@ -416,8 +416,9 @@ class _LengthMinima(NamedTuple):
     """The oracle's ``minVM`` of every row of one bit-length's table and
     its nearest set as CSR: row ``i``'s ascending nearest watermarks are
     ``nearest[offsets[i]:offsets[i + 1]]``.  With the join's work: pairs
-    whose distance it computed, and rows that had no neighbour within
-    the radius and were scanned in full."""
+    whose distance it computed, a pair once for each group it shares,
+    and rows that had no neighbour within the radius and were scanned in
+    full."""
 
     minvm: "np.ndarray"
     offsets: "np.ndarray"
@@ -441,31 +442,29 @@ def _minima_by_row(n: int) -> _LengthMinima:
     rows within distance ``_JOIN_RADIUS`` agree exactly on at least one
     group.  So comparing only rows that share a key in some group finds
     every pair within the radius, hence every row's whole nearest set
-    when its minimum lies within it.  A pair is verified only in the
-    first group it shares, in chunks of ``_JOIN_CHUNK``, and only pairs
-    within the radius are kept.  Each group's buckets come from one
-    lexsort over its columns.  Each row's minimum is taken over its kept
-    pairs in one pass; rows left above the radius get :func:`_scan_row`.
+    when its minimum lies within it.  Each group is joined on its own:
+    its buckets come from one lexsort over its columns, its pairs are
+    verified in chunks of ``_JOIN_CHUNK``, and only pairs within the
+    radius are kept.  Each row's minimum is taken over its kept pairs in
+    one pass; rows left above the radius get :func:`_scan_row`.  A
+    minimal pair kept by two groups is dropped once, in the final sort
+    by (row, neighbour) that builds the CSR.
     """
     import numpy as np
 
     rows = _encoded_range(n)
     lo, count = 1 << (n - 1), len(rows)
-    groups = [range(g, rows.shape[1], _JOIN_RADIUS + 1) for g in range(_JOIN_RADIUS + 1)]
-    bucket_ids = []  # per group done, each row's bucket id
     kept_a, kept_b = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     kept_d = [np.empty(0, np.uint8)]
     verified = 0
-    for columns in groups:
+    for g in range(_JOIN_RADIUS + 1):
         # One sort makes equal rows adjacent; a bucket opens wherever a
         # sorted row differs from the one before it.
-        keys = rows[:, columns]
+        keys = rows[:, g :: _JOIN_RADIUS + 1]
         order = np.lexsort(keys.T).astype(np.int32)
         keys = keys[order]
         opens = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
         del keys
-        ids = np.empty(count, np.int32)
-        ids[order] = np.cumsum(opens) - 1
         # Sorted position p pairs with positions p+1 .. end of its bucket;
         # pair number f of the group is (p, p + 1 + f - before[p]).
         starts = np.flatnonzero(opens)
@@ -476,16 +475,12 @@ def _minima_by_row(n: int) -> _LengthMinima:
             flat = np.arange(first, min(first + _JOIN_CHUNK, total))
             p = np.searchsorted(through, flat, side="right")
             a, b = order[p], order[p + 1 + flat - before[p]]
-            for earlier in bucket_ids:
-                fresh = earlier[a] != earlier[b]
-                a, b = a[fresh], b[fresh]
             verified += len(a)
             d = np.count_nonzero(rows[a] != rows[b], axis=1)
             near = d <= _JOIN_RADIUS
             kept_a.append(a[near])
             kept_b.append(b[near])
             kept_d.append(d[near].astype(np.uint8))
-        bucket_ids.append(ids)
     a, b = np.concatenate(kept_a + kept_b), np.concatenate(kept_b + kept_a)
     d = np.concatenate(kept_d + kept_d)
     minvm = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
@@ -499,8 +494,11 @@ def _minima_by_row(n: int) -> _LengthMinima:
         b.append(np.array(nearest, dtype=np.int64) - lo)
     a, b = np.concatenate(a), np.concatenate(b)
     by_row = np.lexsort((b, a))
-    offsets = np.searchsorted(a[by_row], np.arange(count + 1))
-    nearest = b[by_row].astype(np.int64) + lo
+    a, b = a[by_row], b[by_row]
+    fresh = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]  # once per pair, not per group
+    a, b = a[fresh], b[fresh]
+    offsets = np.searchsorted(a, np.arange(count + 1))
+    nearest = b.astype(np.int64) + lo
     return _LengthMinima(minvm, offsets, nearest, verified, len(scanned))
 
 

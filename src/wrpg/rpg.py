@@ -263,6 +263,10 @@ def graph_to_json(g: ReduciblePermutationGraph) -> str:
     """Canonical, byte-stable JSON form of a graph."""
     if g.n_star % 2 == 0:
         raise GraphFormatError("only odd-sized graphs are serializable")
+    if g.n_star < 5:  # bit-length (n* - 1) / 2 >= 2, as graph_from_json requires
+        raise GraphFormatError(
+            f"only graphs with at least 5 interior nodes are serializable, got {g.n_star}"
+        )
     payload = {
         "version": FILE_FORMAT_VERSION,
         "n": g.n,

@@ -242,13 +242,14 @@ def test_sweeps_count_the_join_before_any_work(monkeypatch, capsys, argv):
         assert captured.err == f"error: {message}\n"
 
 
-# The join's work, (pairs_verified, full_scans) for n = 2..16, and one
-# sha256 over its minvm, offsets and nearest arrays, as the join first
-# computed them (one np.unique key per group and column).
+# The join's work, (pairs_verified, full_scans) for n = 2..16, where a
+# pair counts once for each group it shares, and one sha256 over its
+# minvm, offsets and nearest arrays, as the join first computed them
+# (one np.unique key per group and column).
 JOIN_WORK = (
-    (1, 0), (6, 2), (10, 6), (22, 8), (76, 10), (287, 12), (564, 14), (1468, 16),
-    (4776, 18), (13403, 20), (28058, 22), (65881, 24), (189298, 26), (541058, 28),
-    (1101500, 30),
+    (2, 0), (8, 2), (12, 6), (24, 8), (92, 10), (339, 12), (636, 14), (1658, 16),
+    (5239, 18), (14491, 20), (30275, 22), (70320, 24), (198965, 26), (564444, 28),
+    (1147585, 30),
 )
 JOIN_RESULT_SHA256 = "6e18fa6a673211ce0bd93723e4f615c468f1e083574245ba2fe07fe3c0a8cc44"
 

@@ -166,6 +166,27 @@ def test_save_and_load(tmp_path):
     assert load_graph(path) == g
 
 
+@pytest.mark.parametrize("back_edges", [(2,), (4, 4, 4)])
+def test_graphs_the_reader_rejects_are_not_written(tmp_path, back_edges):
+    g = ReduciblePermutationGraph(back_edges)
+    message = f"at least 5 interior nodes are serializable, got {len(back_edges)}"
+    with pytest.raises(GraphFormatError, match=message):
+        graph_to_json(g)
+    path = tmp_path / "small.json"
+    with pytest.raises(GraphFormatError, match=message):
+        save_graph(g, path)
+    assert not path.exists()
+
+
+def test_the_smallest_codeword_graph_round_trips(tmp_path):
+    g = graph_of(2)
+    assert g.n_star == 5
+    path = tmp_path / "f2.json"
+    save_graph(g, path)
+    assert load_graph(path) == g
+    assert graph_from_json(graph_to_json(g)) == g
+
+
 def test_attacked_graphs_serialize_too():
     g = ReduciblePermutationGraph((3, 1, 4, 9, 6, 8, 8, 10, 10))
     assert graph_from_json(graph_to_json(g)) == g
