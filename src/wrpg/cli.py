@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import GraphFormatError, InternalInvariantError
+from .errors import InternalInvariantError
 from .integrity import CHECK_NAMES, apply_edge_edits, classify_graph, parse_edits
 from .resilience import (
     DEFAULT_CAP,
@@ -143,21 +143,22 @@ _ROW_FIELDS = ("w", "minvm_oracle", "agree", "nearest_count")
 def _table(sweeps, table_format: str):
     """The rows of every watermark of ``sweeps`` as CSV or JSON text, a
     chunk per bit-length, straight from the arrays: each distinct shape
-    fills in its columns once, each row only its own.  The bytes are
-    those of one record per report, ``REPORT_COLUMNS`` to its values,
-    written by ``csv.writer`` or ``json.dumps(..., indent=2)``."""
+    fills in its columns once, from the report of the row that
+    represents it, and each row only its own.  The bytes are those of
+    one record per report, ``REPORT_COLUMNS`` to its values, written by
+    ``csv.writer`` or ``json.dumps(..., indent=2)``."""
     cell, row, between, head, foot = _FORMATS[table_format]
     agree_cell = {value: cell(value) for value in (None, True, False)}
     yield head
     for i, sweep in enumerate(sweeps):
-        shape_rows = [
-            row.format(
+        shape_rows = []
+        for report in map(sweep.report, sweep.representatives.tolist()):
+            shape = report.shape
+            shape_rows.append(row.format(
                 n=sweep.n, shape_case=cell(shape.case), ell=cell(shape.ell), r=cell(shape.r),
-                b_n=cell(shape.last_bit), minvm_closed=cell(closed), strength=cell(strength),
-                **dict.fromkeys(_ROW_FIELDS, "%s"),
-            )
-            for shape, closed, strength in zip(sweep.shapes, sweep.closed, sweep.strength)
-        ]
+                b_n=cell(shape.last_bit), minvm_closed=cell(report.minvm_closed),
+                strength=cell(report.strength), **dict.fromkeys(_ROW_FIELDS, "%s"),
+            ))
         lo, minima = 1 << (sweep.n - 1), sweep.minima
         agree = [None] * lo if sweep.agreement is None else sweep.agreement.tolist()
         rows = [
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_CliInputError, GraphFormatError, ValueError, OSError) as exc:
+    except (_CliInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InternalInvariantError as exc:

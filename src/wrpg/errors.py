@@ -37,7 +37,8 @@ class OutOfTheoremRange(ValueError):
 
 
 class ResourceBoundError(ValueError):
-    """Exhaustive enumeration was requested beyond the configured cap."""
+    """A request exceeds the enumeration cap, or would need more memory
+    than the machine has; raised before the work is done."""
 
 
 class GraphFormatError(ValueError):

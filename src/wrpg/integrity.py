@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import FalseIncorrectGraph, NotAWatermark, UnsupportedAttack
 from .rpg import ReduciblePermutationGraph, reconstruct_permutation
-from .sip import SelfInvertingPermutation, decode_sip_to_w, template_failures
+from .sip import _decode, template_failures
 
 CHECK_NAMES = (
     "involution",
@@ -131,7 +131,7 @@ def classify_graph(g: ReduciblePermutationGraph) -> ValidityReport:
         reasons.append("decoding skipped: the back edges do not form a forest")
         return ValidityReport(checks, None, tuple(reasons))
     try:
-        w = decode_sip_to_w(SelfInvertingPermutation._trusted(seq))
+        w = _decode(seq)
     except NotAWatermark as exc:
         roundtrip_failure = str(exc)
     else:

@@ -24,12 +24,15 @@ witness rewrite bounds it from above, and a lower bound read from the
 columns that the bits alone fix prunes every codeword beyond that.  It
 builds a few codewords instead of the whole table, and falls back to
 the row scan only when the bounds leave more than ``_SEARCH_ROWS`` of
-them.  A sweep keeps each bit-length as arrays, with the closed form
-and strength evaluated once per distinct shape, and builds
-``ResilienceReport`` named tuples only when a caller asks for them; the
-CLI writes its tables straight from the arrays.  The witness check
-applies each shape's flips to all of that shape's rows, one array
-comparison per flip.
+them.  A sweep keeps each bit-length as the arrays it measured: the
+oracle per row, and the shape, once per distinct shape, with the closed
+form evaluated there only to fill in the per-row agreement.  The one
+builder of ``ResilienceReport``, :func:`_report`, gives every closed
+form and strength a caller sees, for ``analyze``, the library reports
+and the rows of each shape in the CLI's tables, which write every
+other cell straight from the arrays.  The witness check applies each
+shape's flips to all of that shape's rows, one array comparison per
+flip.
 
 The closed form is only defined for bit-length >= 4: hand checks show
 bit-length 3 admits a distance-3 pair that the shape rules would price
@@ -181,23 +184,28 @@ def _join_bytes(n: int) -> int:
     return _table_bytes(n) * _JOIN_CELL_BYTES + _JOIN_FLOOR_BYTES
 
 
+def _memory() -> tuple[int, str]:
+    """The bytes that one result may take, and their name: physical
+    memory, or a 64-bit address space when its size is unknown."""
+    physical = _physical_memory_bytes()
+    if physical is None:
+        return (1 << 63) - 1, "a 64-bit address space"
+    return physical, f"the {physical} bytes of physical memory"
+
+
 def _require_fits(n: int, work_bytes: Callable[[int], int]) -> None:
     """Raise :class:`ResourceBoundError` when the ``n``-bit table plus
-    ``work_bytes(n)`` bytes of working arrays would not fit in physical
-    memory, or in a 64-bit address space when its size is unknown.  A
-    table with at least as many rows as that has bytes is refused before
-    its figures are computed, and they are printed only below 2^63 rows,
-    so a huge ``n`` builds no huge integer."""
-    physical = _physical_memory_bytes()
-    limit = (1 << 63) - 1 if physical is None else physical
+    ``work_bytes(n)`` bytes of working arrays would not fit in
+    :func:`_memory`.  A table with at least as many rows as that has
+    bytes is refused before its figures are computed, and they are
+    printed only below 2^63 rows, so a huge ``n`` builds no huge
+    integer."""
+    limit, memory = _memory()
     if n - 1 < limit.bit_length() and _table_bytes(n) + work_bytes(n) <= limit:
         return
     needs = f"2^{n - 1} rows"
     if n - 1 < 63:
         needs = f"{_table_bytes(n)} bytes plus {work_bytes(n)} bytes of working arrays"
-    memory = "a 64-bit address space"
-    if physical is not None:
-        memory = f"the {physical} bytes of physical memory"
     raise ResourceBoundError(f"the {n}-bit table needs {needs}, more than {memory}")
 
 
@@ -507,8 +515,13 @@ def strong_watermark_of(n: int) -> int:
 
     It is ``1 1^ell 0 1^r 1`` with ``ell = r`` for odd ``n`` and
     ``r = ell + 1`` for even ``n``: all ones but bit ``r + 1 = n // 2``.
+    Raises :class:`ResourceBoundError`, before it builds any integer of
+    ``n`` bits, when their bytes would not fit in :func:`_memory`.
     """
     _require_closed_form_range(n)
+    (limit, memory), needs = _memory(), (n + 7) // 8
+    if needs > limit:
+        raise ResourceBoundError(f"the {n}-bit watermark needs {needs} bytes, more than {memory}")
     return ((1 << n) - 1) ^ (1 << (n // 2))
 
 
@@ -554,7 +567,8 @@ def _oracle_above(w: int, oracle: int, closed: int) -> InternalInvariantError:
 
 def _report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
     """Assemble ``w``'s report from its oracle result, checking it
-    against the closed form."""
+    against the closed form: the only place a report's closed form and
+    strength are computed."""
     n = w.bit_length()
     shape = bit_shape(w)
     if n < CLOSED_FORM_MIN_BITS:
@@ -595,31 +609,22 @@ def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
 
 class _LengthSweep(NamedTuple):
     """Every watermark of bit-length ``n`` as arrays over the rows of its
-    table (row ``i`` is ``2^(n-1) + i``).  The shapes are the distinct
-    ones of the bit-length; ``closed`` and ``strength`` hold one value
-    per shape, ``shape_id`` and ``agreement`` one per row.  ``closed``,
-    ``strength`` and ``agreement`` are None below bit-length 4."""
+    table (row ``i`` is ``2^(n-1) + i``): what the sweep measured, and
+    no closed form or strength, which :func:`_report` derives per row.
+    The shapes are the distinct ones of the bit-length, each with the
+    row that represents it; ``shape_id`` and ``agreement`` hold one value
+    per row, and ``agreement`` is None below bit-length 4."""
 
     n: int
     minima: _LengthMinima
     shape_id: "np.ndarray"
     shapes: tuple[WatermarkShape, ...]
-    closed: tuple[int | None, ...]
-    strength: tuple[str | None, ...]
+    representatives: "np.ndarray"
     agreement: "np.ndarray | None"
 
     def report(self, row: int) -> ResilienceReport:
-        s = int(self.shape_id[row])
-        return ResilienceReport(
-            (1 << (self.n - 1)) + row,
-            self.n,
-            self.shapes[s],
-            self.closed[s],
-            int(self.minima.minvm[row]),
-            self.minima.nearest_of(row),
-            self.strength[s],
-            None if self.agreement is None else bool(self.agreement[row]),
-        )
+        minima = self.minima
+        return _report((1 << (self.n - 1)) + row, int(minima.minvm[row]), minima.nearest_of(row))
 
     def reports(self) -> tuple[ResilienceReport, ...]:
         return tuple(self.report(row) for row in range(len(self.shape_id)))
@@ -649,29 +654,26 @@ def _shape_ids(n: int) -> "tuple[np.ndarray, np.ndarray]":
 
 
 def _sweep_length(n: int) -> _LengthSweep:
-    """The oracle, shape, closed form and strength of every watermark of
-    bit-length ``n``; the closed form and strength are evaluated once per
-    distinct shape.  Raises :class:`InternalInvariantError` at the first
-    row whose oracle minimum exceeds its closed form."""
+    """The oracle and shape of every watermark of bit-length ``n``, and
+    whether its oracle equals its closed form.  Each distinct shape is
+    evaluated once, and so is its closed form, which serves only that
+    comparison.  Raises :class:`InternalInvariantError` at the first row
+    whose oracle minimum exceeds its closed form."""
     import numpy as np
 
     lo = 1 << (n - 1)
     minima = _minima_by_row(n)
     shape_id, representatives = _shape_ids(n)
-    ws = (representatives + lo).tolist()
-    shapes = tuple(bit_shape(w) for w in ws)
-    if n < CLOSED_FORM_MIN_BITS:
-        blank = (None,) * len(shapes)
-        return _LengthSweep(n, minima, shape_id, shapes, blank, blank, None)
-    closed = tuple(_closed_form(shape) for shape in shapes)
-    strength = tuple(_strength(w, n, shape) for w, shape in zip(ws, shapes))
-    closed_by_row = np.array(closed)[shape_id]
-    above = np.flatnonzero(minima.minvm > closed_by_row)
-    if len(above):
-        row = int(above[0])
-        raise _oracle_above(lo + row, int(minima.minvm[row]), int(closed_by_row[row]))
-    agreement = minima.minvm == closed_by_row
-    return _LengthSweep(n, minima, shape_id, shapes, closed, strength, agreement)
+    shapes = tuple(bit_shape(w) for w in (representatives + lo).tolist())
+    agreement = None
+    if n >= CLOSED_FORM_MIN_BITS:
+        closed = np.array([_closed_form(shape) for shape in shapes])[shape_id]
+        above = np.flatnonzero(minima.minvm > closed)
+        if len(above):
+            row = int(above[0])
+            raise _oracle_above(lo + row, int(minima.minvm[row]), int(closed[row]))
+        agreement = minima.minvm == closed
+    return _LengthSweep(n, minima, shape_id, shapes, representatives, agreement)
 
 
 def _check_witnesses(sweep: _LengthSweep) -> None:

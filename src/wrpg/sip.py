@@ -149,17 +149,13 @@ class _Value:
         """Build an instance from the constructor's arguments, already
         in their stored form, without the constructor's checks.
 
-        Only for values that pass those checks by construction, or that
-        reach no code that needs them.  The trusted uses are:
+        Only for values that pass those checks, by construction or by
+        the caller's own check.  The trusted uses are:
 
         * the encoder's output, an involution with one fixed point;
         * the permutation that :func:`~wrpg.rpg.decode_rpg_to_sip`
           rebuilds from a graph, a permutation by construction that it
           checks for the other properties;
-        * the permutation that ``classify_graph`` rebuilds, which is
-          unchecked and is only handed to :func:`decode_sip_to_w`, whose
-          re-encode and compare accepts exactly the codewords, whatever
-          the input;
         * the graph that :func:`~wrpg.rpg.encode_sip_to_rpg` builds from
           a :class:`SelfInvertingPermutation`, whose domination map is a
           non-empty tuple of exact ints;
@@ -249,12 +245,20 @@ def encode_w_to_sip(w: int) -> tuple[SelfInvertingPermutation, EncodingTrace]:
 
 def decode_sip_to_w(sip: SelfInvertingPermutation) -> int:
     """Extract the watermark from ``sip``, re-encoding to verify it."""
-    n = sip.n
+    return _decode(sip.elements)
+
+
+def _decode(elements: tuple[int, ...]) -> int:
+    """:func:`decode_sip_to_w` of any tuple of ints, which need not be a
+    self-inverting permutation: the re-encode and compare accepts
+    exactly the codewords and raises :class:`NotAWatermark` for the
+    rest."""
+    n = (len(elements) - 1) // 2
     if n < 2:
         raise NotAWatermark(f"decoded bit-length {n} is below 2")
     lo, hi = n + 1, 2 * n
     bits = ["0"] * n  # bits[j - 1] is 1 when n + j is in the leading run
-    for value in sip.elements:
+    for value in elements:
         if not lo <= value <= hi:
             break
         bits[value - lo] = "1"
@@ -262,7 +266,7 @@ def decode_sip_to_w(sip: SelfInvertingPermutation) -> int:
         raise NotAWatermark("leading bit decodes to 0")
     w = int("".join(bits), 2)
     re_encoded, _ = encode_w_to_sip(w)
-    if re_encoded.elements != sip.elements:
+    if re_encoded.elements != elements:
         raise NotAWatermark(f"re-encoding {w} does not reproduce the permutation")
     return w
 

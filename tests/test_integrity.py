@@ -6,7 +6,7 @@ import pytest
 import wrpg.integrity as integrity
 import wrpg.rpg as rpg
 import wrpg.sip as sip
-from wrpg.errors import UnsupportedAttack
+from wrpg.errors import SipInvariantError, UnsupportedAttack
 from wrpg.integrity import (
     CHECK_NAMES,
     EdgeEdit,
@@ -158,6 +158,31 @@ def test_valid_verdict_runs_neither_sip_nor_template_checks(monkeypatch):
         assert report.valid and report.watermark == w
     with pytest.raises(AssertionError):  # the patches are live
         classify_graph(edited)
+
+
+def test_classify_builds_no_invalid_permutation(monkeypatch):
+    # _trusted skips the constructor's checks, so every permutation it
+    # wraps must pass them already
+    real_trusted = sip._Value._trusted.__func__
+    built, invalid = [], []
+
+    def checked(cls, *values):
+        if cls is SelfInvertingPermutation:
+            built.append(values[0])
+            try:
+                sip._require_sip(values[0])
+            except SipInvariantError as exc:
+                invalid.append((values[0], str(exc)))
+        return real_trusted(cls, *values)
+
+    graphs = [graph_of(w) for w in range(2, 64)]
+    monkeypatch.setattr(sip._Value, "_trusted", classmethod(checked))
+    for g in graphs:
+        for source in range(1, g.n_star + 1):
+            for target in range(g.header + 2):
+                classify_graph(apply_edge_edits(g, [EdgeEdit(source, target)]))
+    assert built  # the valid graphs' decodes re-encode
+    assert invalid == []
 
 
 def test_classify_rebuilds_once_and_re_encodes_at_most_once(monkeypatch):

@@ -1,8 +1,12 @@
 import hashlib
+import importlib.util
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,36 @@ def test_join_work_and_result_are_pinned():
     assert digest.hexdigest() == JOIN_RESULT_SHA256
 
 
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def run_tool(*argv: str) -> list[list[str]]:
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / argv[0]), *argv[1:]], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def test_the_gate_tools_agree_with_the_library():
+    # tools/join_digest.py is the join's identity gate, and
+    # tools/code_lines.py measures the package's size
+    spec = importlib.util.spec_from_file_location("join_digest", TOOLS / "join_digest.py")
+    join_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(join_digest)
+    lines = run_tool("join_digest.py", "2", "12")
+    assert [int(cells[0]) for cells in lines] == list(range(2, 13))
+    assert [(int(cells[1]), int(cells[2])) for cells in lines] == list(JOIN_WORK[:11])
+    for n, cells in zip(range(2, 13), lines):
+        assert cells[4] == join_digest.digest(resilience._minima_by_row(n)), n
+    *modules, (name, total) = run_tool("code_lines.py")
+    assert name == "total"
+    assert [module for module, _ in modules] == sorted(
+        path.name for path in (TOOLS.parent / "src" / "wrpg").glob("*.py")
+    )
+    assert int(total.replace(",", "")) == sum(int(count.replace(",", "")) for _, count in modules)
+
+
 def test_oracle_enforces_the_enumeration_cap():
     with pytest.raises(ResourceBoundError):
         minvm_oracle(1 << 14)  # 15 bits > default cap
@@ -347,6 +381,20 @@ def test_strong_watermark_forms(n, expected):
 def test_strong_watermark_rejects_small_bit_lengths():
     with pytest.raises(OutOfTheoremRange):
         strong_watermark_of(3)
+
+
+def test_strong_watermark_refuses_sizes_beyond_memory(monkeypatch):
+    # refused before any n-bit integer is built, so no case allocates
+    with pytest.raises(ResourceBoundError, match=f"needs {2**67} bytes"):
+        strong_watermark_of(2**70)
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 1 << 20)
+    with pytest.raises(ResourceBoundError) as refused:
+        strong_watermark_of(2**23 + 8)
+    assert str(refused.value) == (
+        f"the {2**23 + 8}-bit watermark needs {2**20 + 1} bytes, "
+        f"more than the {2**20} bytes of physical memory"
+    )
+    assert strong_watermark_of(64) == ((1 << 64) - 1) ^ (1 << 32)
 
 
 @pytest.mark.parametrize(

@@ -201,7 +201,7 @@ def test_class_patterns_bind_fields_by_position():
 def test_sweep_records_keep_their_fields():
     sweep = verify_theorem(4, 4)._sweeps[0]
     assert type(sweep).__match_args__ == (
-        "n", "minima", "shape_id", "shapes", "closed", "strength", "agreement"
+        "n", "minima", "shape_id", "shapes", "representatives", "agreement"
     )
     assert type(sweep.minima).__match_args__ == (
         "minvm", "offsets", "nearest", "pairs_verified", "full_scans"
