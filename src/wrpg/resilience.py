@@ -34,6 +34,14 @@ other cell straight from the arrays.  The witness check applies each
 shape's flips to all of that shape's rows, one array comparison per
 flip.
 
+Each watermark is classified (:func:`~wrpg.sip.bit_shape`) once, by a
+public entry point: ``analyze_watermark`` classifies ``w`` and a sweep
+classifies each distinct shape.  Every private helper takes the shape
+from its caller: :func:`_report`, :func:`_nearest_by_search`,
+:func:`_closed_form`, :func:`_strength` and :func:`_witness_flips` as an
+argument, and a sweep's reports and witness check from the sweep's
+``shapes``.
+
 The closed form is only defined for bit-length >= 4: hand checks show
 bit-length 3 admits a distance-3 pair that the shape rules would price
 at 4, and bit-length 2 admits distance 2.  The oracle stays available
@@ -385,9 +393,12 @@ def _survivors(target: tuple[int, ...], n: int, budget: int) -> list[int] | None
     return found
 
 
-def _nearest_by_search(w: int, n: int) -> tuple[int, tuple[int, ...]] | None:
+def _nearest_by_search(
+    w: int, n: int, shape: WatermarkShape
+) -> tuple[int, tuple[int, ...]] | None:
     """``minvm_oracle(w)`` by a bounded search, without the table: or
     None when the bound leaves more than ``_SEARCH_ROWS`` rows to build.
+    ``n`` and ``shape`` are ``w``'s, from the caller.
 
     ``w``'s witness rewrites (:func:`_witness_flips`, and always the
     flip of ``b_n``) are codewords, so the least distance measured to
@@ -401,7 +412,7 @@ def _nearest_by_search(w: int, n: int) -> tuple[int, tuple[int, ...]] | None:
     it are the whole nearest set.  The closed form is never used.
     """
     target = _row(w)
-    flips = {1, *(flip for flip, _, _ in _witness_flips(bit_shape(w)) if flip < 1 << (n - 1))}
+    flips = {1, *(flip for flip, _, _ in _witness_flips(shape) if flip < 1 << (n - 1))}
     distances = {w ^ flip: sum(map(ne, _row(w ^ flip), target)) for flip in flips}
     survivors = _survivors(target, n, min(distances.values()))
     if survivors is None:
@@ -565,12 +576,13 @@ def _oracle_above(w: int, oracle: int, closed: int) -> InternalInvariantError:
     )
 
 
-def _report(w: int, oracle: int, nearest: tuple[int, ...]) -> ResilienceReport:
-    """Assemble ``w``'s report from its oracle result, checking it
-    against the closed form: the only place a report's closed form and
-    strength are computed."""
+def _report(
+    w: int, shape: WatermarkShape, oracle: int, nearest: tuple[int, ...]
+) -> ResilienceReport:
+    """Assemble ``w``'s report from its shape, which the caller holds,
+    and its oracle result, checking it against the closed form: the only
+    place a report's closed form and strength are computed."""
     n = w.bit_length()
-    shape = bit_shape(w)
     if n < CLOSED_FORM_MIN_BITS:
         return ResilienceReport(w, n, shape, None, oracle, nearest, None, None)
     closed = _closed_form(shape)
@@ -601,19 +613,22 @@ def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
     n = require_watermark(w)
     _require_within_cap(n, cap)
     _require_fits(n, _build_bytes)
-    found = _nearest_by_search(w, n)
+    shape = bit_shape(w)
+    found = _nearest_by_search(w, n, shape)
     if found is None:
         found = minvm_oracle(w, cap=cap)
-    return _report(w, *found)
+    return _report(w, shape, *found)
 
 
 class _LengthSweep(NamedTuple):
     """Every watermark of bit-length ``n`` as arrays over the rows of its
     table (row ``i`` is ``2^(n-1) + i``): what the sweep measured, and
     no closed form or strength, which :func:`_report` derives per row.
-    The shapes are the distinct ones of the bit-length, each with the
-    row that represents it; ``shape_id`` and ``agreement`` hold one value
-    per row, and ``agreement`` is None below bit-length 4."""
+    The shapes are the distinct ones of the bit-length, each classified
+    once, with the row that represents it; ``shape_id`` and
+    ``agreement`` hold one value per row, and ``agreement`` is None below
+    bit-length 4.  :meth:`report` hands :func:`_report` the row's shape
+    from ``shapes``, so building reports classifies nothing."""
 
     n: int
     minima: _LengthMinima
@@ -623,8 +638,8 @@ class _LengthSweep(NamedTuple):
     agreement: "np.ndarray | None"
 
     def report(self, row: int) -> ResilienceReport:
-        minima = self.minima
-        return _report((1 << (self.n - 1)) + row, int(minima.minvm[row]), minima.nearest_of(row))
+        w, shape = (1 << (self.n - 1)) + row, self.shapes[self.shape_id[row]]
+        return _report(w, shape, int(self.minima.minvm[row]), self.minima.nearest_of(row))
 
     def reports(self) -> tuple[ResilienceReport, ...]:
         return tuple(self.report(row) for row in range(len(self.shape_id)))
@@ -683,13 +698,16 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
     cost.  Each flip is measured on every row of its shape at once.  A
     flip that is not positive or reaches bit ``n - 1`` leaves the
     bit-length from every row, so it is caught on the Python int before
-    any array math."""
+    any array math.  The shapes and their rows come from the sweep: only
+    shape 0, the Case1 shape, can hold more than one row (see
+    :func:`_shape_ids`), so it is the only one looked up in
+    ``shape_id``; every other shape's one row is its representative."""
     import numpy as np
 
     n, rows = sweep.n, _encoded_range(sweep.n)
     first = None  # (row, rule index, message) of the first failure so far
     for s, shape in enumerate(sweep.shapes):
-        idx = np.flatnonzero(sweep.shape_id == s)
+        idx = sweep.representatives[s : s + 1] if s else np.flatnonzero(sweep.shape_id == 0)
         for k, (flip, cost, rule) in enumerate(_witness_flips(shape)):
             if flip <= 0 or flip >> (n - 1):
                 row, problem = int(idx[0]), "leaves the bit-length range"
@@ -761,22 +779,16 @@ def _summary(sweep: _LengthSweep) -> RangeSummary:
 
 
 class TheoremVerification(_Value):
-    """A sweep's summaries and mismatch reports.  ``reports`` is built
-    from the sweep's per-length arrays on first access.  An immutable
-    value: equal and hashed by ``summaries`` and ``mismatches``."""
+    """A sweep's summaries and mismatch reports: ``summaries``, one
+    :class:`RangeSummary` per bit-length; ``mismatches``, the
+    :class:`ResilienceReport` of each watermark whose oracle differs
+    from its closed form; and ``_sweeps``, each bit-length's
+    :class:`_LengthSweep`.  ``reports`` is built from the sweeps on
+    first access.  An immutable value: equal and hashed by
+    ``summaries`` and ``mismatches``."""
 
     __match_args__ = ("summaries", "mismatches", "_sweeps")
     _compared = 2
-
-    def __init__(
-        self,
-        summaries: tuple[RangeSummary, ...],
-        mismatches: tuple[ResilienceReport, ...],
-        _sweeps: tuple[_LengthSweep, ...],
-    ):
-        object.__setattr__(self, "summaries", summaries)
-        object.__setattr__(self, "mismatches", mismatches)
-        object.__setattr__(self, "_sweeps", _sweeps)
 
     @cached_property
     def reports(self) -> tuple[ResilienceReport, ...]:

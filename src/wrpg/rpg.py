@@ -45,7 +45,6 @@ from .errors import (
 )
 from .sip import SelfInvertingPermutation, _Value, _exact_ints, _is_permutation, _require_sip
 
-FOOTER = 0
 FILE_FORMAT_VERSION = 1
 
 

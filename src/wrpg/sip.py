@@ -115,10 +115,16 @@ class _Value:
     the constructor's arguments in order; the first ``_compared`` of
     them make the repr and are what instances are equal and hashed by.
     Assignment and deletion raise :class:`AttributeError`, and pickle
-    and copy rebuild an instance through its constructor."""
+    and copy rebuild an instance through its constructor.  The base
+    constructor stores each value under its name and checks nothing;
+    a class whose values need checking defines its own."""
 
     __slots__ = ()
     _compared = 1
+
+    def __init__(self, *values):
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__[: self._compared])

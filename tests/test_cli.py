@@ -404,6 +404,27 @@ def test_sweep_output_bytes_are_pinned(workdir, capsys):
     assert sha256(capsys.readouterr().out.encode()) == (
         "4e8189a4dfd8db9a01b249f9aca0793d912d5d24a5f2dfe0e4cb91d45e578229"
     )
+    # The json table of the same sweep; its stdout equals the csv run's.
+    assert main([
+        "verify-theorem", "--bits-min", "4", "--bits-max", "12", "--format", "json",
+        "--out", "rows.json",
+    ]) == 0
+    capsys.readouterr()
+    assert sha256((workdir / "rows.json").read_bytes()) == (
+        "93efff9113b0f562d143a1807464cd92366a9587823307ca6233bf47913c4a6b"
+    )
+    # Below bit-length 4 the closed-form and strength cells are blank.
+    assert main(["survey", "--bits", "3"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "4c039d7057182639d9f9a141b696b638d8cfb56873122fe744b6e4615ab206bc"
+    )
+    # Reports of watermarks below 4 bits, of each case, and of the strong
+    # 14-bit watermark, which falls back to the table.
+    for w in (2, 3, 7, 8, 27, 45, 1000, 2015, 12345, 16255):
+        assert main(["analyze", str(w)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "18878a9df1362142eb3d24b57fc4eba167348fb2b3109bb74978834a2c2bf427"
+    )
 
 
 def test_verify_theorem_rejects_bad_ranges(workdir, capsys):

@@ -149,7 +149,7 @@ def test_the_survivors_are_every_codeword_within_the_suffix_bound(n):
 @pytest.mark.parametrize("n", [32, 64])
 def test_the_search_is_exact_beyond_any_table(n, no_table):
     for w in case1_sample(n, 3):
-        found = resilience._nearest_by_search(w, n)
+        found = resilience._nearest_by_search(w, n, bit_shape(w))
         assert found is not None, w  # within the search budget
         best, nearest = found
         assert nearest == tuple(sorted(nearest)) and w not in nearest

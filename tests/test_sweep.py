@@ -171,3 +171,15 @@ def test_the_sweep_evaluates_each_shape_once(monkeypatch):
     assert 0 < len(priced) <= sum(2 * n - 1 for n in range(4, 13))
     assert checking == list(range(4, 13))
     assert all(0 < flipped[n] <= 2 * n - 1 for n in checking), flipped
+    # A sweep's reports take each row's shape from the sweep, and analyze
+    # classifies its watermark once, whatever its case.
+    result = verify_theorem(4, 12)
+    shaped.clear()
+    assert len(result.reports) == 4088
+    assert not shaped
+    assert len(survey_range(12)) == 2048
+    assert sum(shaped.values()) <= 2 * 12 - 1
+    for w in (0b101101, 0b11011, 0b101):  # Case1, Case2, below 4 bits
+        shaped.clear()
+        resilience.analyze_watermark(w)
+        assert sum(shaped.values()) == 1, w
