@@ -38,13 +38,9 @@ EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
 
-class _CliInputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 3 instead of argparse's default 2
-        raise _CliInputError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -300,7 +296,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_CliInputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InternalInvariantError as exc:

@@ -173,7 +173,7 @@ _BUILD_CELL_BYTES = 32
 
 # A join's working arrays hold at most _JOIN_CELL_BYTES bytes per cell
 # of its table plus _JOIN_FLOOR_BYTES: twice the tracemalloc peaks of
-# _minima_by_row with its table built beforehand, 3.7-4.5 bytes per cell
+# _minima_by_row with its table built beforehand, 3.5-4.2 bytes per cell
 # for n = 16..19 plus at most 2 MB for the arrays of one _JOIN_CHUNK of
 # pairs, which are most of the peak below n = 16.
 _JOIN_CELL_BYTES = 8
@@ -335,24 +335,26 @@ def _row(w: int) -> tuple[int, ...]:
     return dmax_map(encode_w_to_sip(w)[0])
 
 
-def _scan_row(rows: "np.ndarray", idx: int, lo: int) -> tuple[int, tuple[int, ...]]:
+def _scan_row(rows: "np.ndarray", idx: int) -> tuple[int, "np.ndarray"]:
     """Minimum distance from row ``idx`` to every other row, with the
-    ascending watermarks (row + ``lo``) that attain it."""
+    ascending indices of the rows that attain it."""
     import numpy as np
 
     diffs = (rows != rows[idx]).sum(axis=1)
     diffs[idx] = rows.shape[1] + 1  # never pick the row itself
     best = int(diffs.min())
-    return best, tuple(int(lo + i) for i in np.flatnonzero(diffs == best))
+    return best, np.flatnonzero(diffs == best)
 
 
 def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
     """Brute-force minimum distance from ``w`` to any other same-length
-    watermark, with the full ascending list of minimizers."""
+    watermark, with the full ascending list of minimizers: the rows
+    :func:`_scan_row` finds, each plus ``2^(n-1)``."""
     n = require_watermark(w)
     _require_within_cap(n, cap)
     lo = 1 << (n - 1)
-    return _scan_row(_encoded_range(n), w - lo, lo)
+    best, nearest = _scan_row(_encoded_range(n), w - lo)
+    return best, tuple(lo + i for i in nearest.tolist())
 
 
 # The bounded search builds at most this many codewords besides ``w``'s
@@ -477,22 +479,23 @@ def _minima_by_row(n: int) -> _LengthMinima:
     kept_d = [np.empty(0, np.uint8)]
     verified = 0
     for g in range(_JOIN_RADIUS + 1):
-        # One sort makes equal rows adjacent; a bucket opens wherever a
+        # One sort makes equal rows adjacent; a bucket starts wherever a
         # sorted row differs from the one before it.
         keys = rows[:, g :: _JOIN_RADIUS + 1]
         order = np.lexsort(keys.T).astype(np.int32)
         keys = keys[order]
-        opens = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
         del keys
-        # Sorted position p pairs with positions p+1 .. end of its bucket;
-        # pair number f of the group is (p, p + 1 + f - before[p]).
-        starts = np.flatnonzero(opens)
+        # Sorted position p pairs with positions p+1 .. end of its bucket.
+        # before[p] counts the pairs ahead of p and before[count] is the
+        # group's total, so pair number f of the group is
+        # (p, p + 1 + f - before[p]) for the last p with before[p] <= f.
         ends = np.repeat(np.r_[starts[1:], count], np.diff(np.r_[starts, count]))
-        through = np.cumsum(ends - np.arange(count) - 1)
-        before, total = np.r_[0, through[:-1]], int(through[-1])
-        for first in range(0, total, _JOIN_CHUNK):
-            flat = np.arange(first, min(first + _JOIN_CHUNK, total))
-            p = np.searchsorted(through, flat, side="right")
+        before = np.r_[0, np.cumsum(ends - np.arange(1, count + 1))]
+        del starts, ends  # the pair loop reads only order and before
+        for first in range(0, before[-1], _JOIN_CHUNK):
+            flat = np.arange(first, min(first + _JOIN_CHUNK, before[-1]))
+            p = np.searchsorted(before, flat, side="right") - 1
             a, b = order[p], order[p + 1 + flat - before[p]]
             verified += len(a)
             d = np.count_nonzero(rows[a] != rows[b], axis=1)
@@ -508,9 +511,9 @@ def _minima_by_row(n: int) -> _LengthMinima:
     a, b = [a[minimal]], [b[minimal]]
     scanned = np.flatnonzero(minvm > _JOIN_RADIUS)  # no neighbour within the radius
     for idx in scanned.tolist():
-        minvm[idx], nearest = _scan_row(rows, idx, lo)
+        minvm[idx], nearest = _scan_row(rows, idx)
         a.append(np.full(len(nearest), idx, dtype=np.int32))
-        b.append(np.array(nearest, dtype=np.int64) - lo)
+        b.append(nearest)
     a, b = np.concatenate(a), np.concatenate(b)
     by_row = np.lexsort((b, a))
     a, b = a[by_row], b[by_row]

@@ -281,23 +281,58 @@ def run_tool(*argv: str) -> list[list[str]]:
     return [line.split() for line in proc.stdout.splitlines()]
 
 
-def test_the_gate_tools_agree_with_the_library():
-    # tools/join_digest.py is the join's identity gate, and
-    # tools/code_lines.py measures the package's size
+def load_join_digest():
     spec = importlib.util.spec_from_file_location("join_digest", TOOLS / "join_digest.py")
     join_digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(join_digest)
+    return join_digest
+
+
+def test_the_gate_tools_agree_with_the_library():
+    # tools/join_digest.py is the join's identity gate, and
+    # tools/code_lines.py measures the package's size
+    join_digest = load_join_digest()
     lines = run_tool("join_digest.py", "2", "12")
+    assert [len(cells) for cells in lines] == [6] * 11
     assert [int(cells[0]) for cells in lines] == list(range(2, 13))
     assert [(int(cells[1]), int(cells[2])) for cells in lines] == list(JOIN_WORK[:11])
     for n, cells in zip(range(2, 13), lines):
         assert cells[4] == join_digest.digest(resilience._minima_by_row(n)), n
+        assert int(cells[5]) <= resilience._join_bytes(n), n
     *modules, (name, total) = run_tool("code_lines.py")
     assert name == "total"
     assert [module for module, _ in modules] == sorted(
         path.name for path in (TOOLS.parent / "src" / "wrpg").glob("*.py")
     )
     assert int(total.replace(",", "")) == sum(int(count.replace(",", "")) for _, count in modules)
+
+
+# The join's work and the sha256 of tools/join_digest.py for n = 17..20,
+# as the join computed them when each group was first joined on its own.
+JOIN_WORK_TO_20 = {
+    17: (2639490, 32, "55b2cb03ae98bda0ef71716cd22e06b718ecbd9ea77c04aa1c57274fc64a7899"),
+    18: (7487197, 34, "252ab6abed1733f131314ee76db9f5f36ff5faf14daa6f39c527bccf6eae1487"),
+    19: (20460180, 36, "b0e0fafad390010e369a33c247cf0454e7b4e69a8373f9fdf84d6266d724ad51"),
+    20: (42000735, 38, "b2b3f66f76f9866c045c1a6ba5dc097f8f7980105d083eeb5c00dc49664b79fe"),
+}
+
+
+@pytest.mark.slow
+def test_the_join_is_pinned_to_20_bits():
+    # 12-14 s on 2 vCPUs, with a 21 MB table and a 71 MB join peak at n = 20;
+    # run with `pytest -m slow`
+    join_digest = load_join_digest()
+    for n, (pairs, scans, sha) in JOIN_WORK_TO_20.items():
+        resilience._encoded_range(n)  # the table is counted on its own
+        tracemalloc.start()
+        try:
+            minima = resilience._minima_by_row(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (minima.pairs_verified, minima.full_scans) == (pairs, scans), n
+        assert join_digest.digest(minima) == sha, n
+        assert peak <= resilience._join_bytes(n), n
 
 
 def test_oracle_enforces_the_enumeration_cap():

@@ -3,14 +3,17 @@
 For each ``n`` in ``N_MIN..N_MAX`` this builds the ``n``-bit table, times
 ``resilience._minima_by_row(n)`` alone and prints one line::
 
-    n pairs_verified full_scans seconds sha256
+    n pairs_verified full_scans seconds sha256 peak_bytes
 
 The sha256 covers the dtype and the bytes of ``minvm``, ``offsets`` and
 ``nearest``, in that order, so two trees whose lines agree on it return
-the same join result.  Each join is first checked against the memory
-budget the sweeps use (``_require_fits(n, _join_bytes)``).  The package
-is imported from the ``src`` directory next to this script, so a copy of
-the script in another checkout measures that checkout.
+the same join result.  ``peak_bytes`` is the tracemalloc peak of a
+second join, run after the timed one so that the seconds are not
+traced; the table, built before either, is not in it.  Each join is
+first checked against the memory budget the sweeps use
+(``_require_fits(n, _join_bytes)``).  The package is imported from the
+``src`` directory next to this script, so a copy of the script in
+another checkout measures that checkout.
 
 Usage: ``python tools/join_digest.py [N_MIN] [N_MAX]``, defaults 2 and 16.
 """
@@ -18,6 +21,7 @@ Usage: ``python tools/join_digest.py [N_MIN] [N_MAX]``, defaults 2 and 16.
 import hashlib
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -43,8 +47,13 @@ def main(argv: list[str]) -> int:
         start = time.perf_counter()
         minima = resilience._minima_by_row(n)
         seconds = time.perf_counter() - start
+        tracemalloc.start()
+        minima = resilience._minima_by_row(n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         print(
-            f"{n} {minima.pairs_verified} {minima.full_scans} {seconds:.3f} {digest(minima)}",
+            f"{n} {minima.pairs_verified} {minima.full_scans} {seconds:.3f} {digest(minima)}"
+            f" {peak}",
             flush=True,
         )
     return 0
