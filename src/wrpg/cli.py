@@ -10,7 +10,9 @@ inputs and flags produce the same bytes.
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .errors import InternalInvariantError
@@ -171,12 +173,23 @@ def _table(sweeps, table_format: str):
     yield foot
 
 
-def _emit(chunks, out: str | None) -> None:
+@contextmanager
+def _table_out(out: str | None):
+    """Where a sweep's table goes: stdout, or the file ``out``, opened
+    before the sweep so that an unwritable path is refused before any
+    work.  When the sweep fails, a file it created is removed again; a
+    file that was there before is left empty."""
     if out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w", encoding="utf-8") as file:
-            file.writelines(chunks)
+        yield sys.stdout
+        return
+    created = not os.path.lexists(out)
+    with open(out, "w", encoding="utf-8") as file:
+        try:
+            yield file
+        except BaseException:
+            if created:
+                os.remove(out)
+            raise
 
 
 def _cmd_encode(args) -> int:
@@ -250,14 +263,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    _emit(_table([_survey(args.bits, args.cap_override)], args.format), args.out)
+    with _table_out(args.out) as file:
+        file.writelines(_table([_survey(args.bits, args.cap_override)], args.format))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    result = verify_theorem(args.bits_min, args.bits_max, cap=args.cap_override)
-    if args.out:
-        _emit(_table(result._sweeps, args.format), args.out)
+    with _table_out(args.out) if args.out else nullcontext() as file:
+        result = verify_theorem(args.bits_min, args.bits_max, cap=args.cap_override)
+        if file is not None:
+            file.writelines(_table(result._sweeps, args.format))
     for s in result.summaries:
         print(
             f"n={s.n} watermarks={s.count} max_minvm={s.max_minvm} "

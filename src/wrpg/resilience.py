@@ -16,8 +16,11 @@ bit-lengths are unreachable).  Three routes to it live here:
 ``verify_theorem`` and ``survey_range`` need the oracle for every
 watermark of a bit-length at once; they get it from one exact join per
 bit-length (:func:`_minima_by_row`) instead of one full row scan per
-watermark.  ``minvm_oracle`` stays the brute-force single-row scan and
-is the test reference for the join and for ``analyze_watermark``.  That
+watermark.  The join packs each of its column groups into ``uint64``
+words, one field per cell: a group's words are its bucket key, and a
+pair's distance is a popcount of the xor of its words.
+``minvm_oracle`` stays the brute-force single-row scan and is the test
+reference for the join and for ``analyze_watermark``.  That
 gets one watermark's oracle from an exact search over its bits
 (:func:`_nearest_by_search`): the distance measured to ``w``'s nearest
 witness rewrite bounds it from above, and a lower bound read from the
@@ -31,8 +34,9 @@ builder of ``ResilienceReport``, :func:`_report`, gives every closed
 form and strength a caller sees, for ``analyze``, the library reports
 and the rows of each shape in the CLI's tables, which write every
 other cell straight from the arrays.  The witness check applies each
-shape's flips to all of that shape's rows, one array comparison per
-flip.
+flip of the Case1 shape to all of its rows in one array comparison,
+and measures every witness of the other shapes, one row each, in one
+more.
 
 Each watermark is classified (:func:`~wrpg.sip.bit_shape`) once, by a
 public entry point: ``analyze_watermark`` classifies ``w`` and a sweep
@@ -172,10 +176,13 @@ _BUILD_CHUNK = 1 << 12
 _BUILD_CELL_BYTES = 32
 
 # A join's working arrays hold at most _JOIN_CELL_BYTES bytes per cell
-# of its table plus _JOIN_FLOOR_BYTES: twice the tracemalloc peaks of
-# _minima_by_row with its table built beforehand, 3.5-4.2 bytes per cell
-# for n = 16..19 plus at most 2 MB for the arrays of one _JOIN_CHUNK of
-# pairs, which are most of the peak below n = 16.
+# of its table plus _JOIN_FLOOR_BYTES.  The tracemalloc peaks of
+# _minima_by_row, with its table built beforehand, are 4.3-5.3 bytes per
+# cell for n = 16..20: 5.7, 22.1 and 104.7 MB at n = 16, 18 and 20,
+# against budgets of 12.8, 43.0 and 176.2 MB.  Most of it is the packed
+# words and one group's copy of the others in its sorted order; from
+# n = 20 on each group takes two words instead of one.  Below n = 16 the
+# arrays of one _JOIN_CHUNK of pairs, at most 2 MB, are most of the peak.
 _JOIN_CELL_BYTES = 8
 _JOIN_FLOOR_BYTES = 4 << 20
 
@@ -338,10 +345,15 @@ def _row(w: int) -> tuple[int, ...]:
 def _scan_row(rows: "np.ndarray", idx: int) -> tuple[int, "np.ndarray"]:
     """Minimum distance from row ``idx`` to every other row, with the
     ascending indices of the rows that attain it."""
+    return _least_but(idx, (rows != rows[idx]).sum(axis=1))
+
+
+def _least_but(idx: int, diffs: "np.ndarray") -> tuple[int, "np.ndarray"]:
+    """The least of ``diffs`` but entry ``idx``, which it overwrites,
+    with the ascending indices that attain it."""
     import numpy as np
 
-    diffs = (rows != rows[idx]).sum(axis=1)
-    diffs[idx] = rows.shape[1] + 1  # never pick the row itself
+    diffs[idx] = np.iinfo(diffs.dtype).max  # never pick the row itself
     best = int(diffs.min())
     return best, np.flatnonzero(diffs == best)
 
@@ -430,6 +442,7 @@ def _nearest_by_search(
 # at distance 3, so a join within radius 3 settles all but the 2n-2
 # others, which get a full row scan.
 _JOIN_RADIUS = 3
+_JOIN_GROUPS = _JOIN_RADIUS + 1
 _JOIN_CHUNK = 1 << 14  # candidate pairs checked at once
 
 
@@ -455,36 +468,89 @@ class _LengthMinima(NamedTuple):
         return tuple(self.nearest[self.offsets[row] : self.offsets[row + 1]].tolist())
 
 
+def _pack_groups(rows: "np.ndarray", n: int) -> "tuple[np.ndarray, int, np.uint64, np.uint64]":
+    """The column groups ``g, g + 4, g + 8, ...`` of the ``n``-bit table
+    ``rows``, packed into ``k`` ``uint64`` words per group, with the
+    field masks ``low`` and ``high`` that :func:`_nonzero_fields` takes.
+
+    Row ``g * k + j`` of the words holds word ``j`` of group ``g`` for
+    every row of the table.  Each cell takes one field of ``b = (2n +
+    2).bit_length()`` bits, ``64 // b`` fields to a word: cell ``i`` of a
+    group is field ``i % (64 // b)`` of word ``i // (64 // b)``.  A shorter
+    group's last fields are zero.  ``low`` holds each field's low ``b - 1``
+    bits and ``high`` each field's top bit."""
+    import numpy as np
+
+    m, b = 2 * n + 1, (2 * n + 2).bit_length()
+    per_word, widest = 64 // b, -(-m // _JOIN_GROUPS)
+    k = -(-widest // per_word)
+    words = np.zeros((_JOIN_GROUPS * k, len(rows)), dtype=np.uint64)
+    for c in range(m):
+        g, i = c % _JOIN_GROUPS, c // _JOIN_GROUPS  # column c is cell i of group g
+        words[g * k + i // per_word] |= rows[:, c].astype(np.uint64) << (i % per_word * b)
+    lowest = sum(1 << i * b for i in range(per_word))  # each field's lowest bit
+    high = lowest << (b - 1)
+    return words, k, np.uint64(high - lowest), np.uint64(high)
+
+
+def _nonzero_fields(x: "np.ndarray", low: "np.uint64", high: "np.uint64") -> "np.ndarray":
+    """The number of nonzero fields of each word of ``x`` (see
+    :func:`_minima_by_row`), as ``uint8``."""
+    import numpy as np
+
+    return np.bitwise_count((((x & low) + low) | x) & high)
+
+
 def _minima_by_row(n: int) -> _LengthMinima:
     """Exact ``minvm_oracle`` of every watermark of bit-length ``n``.
 
     A pigeonhole (multi-index) join: with the columns split into the
-    ``_JOIN_RADIUS + 1`` disjoint groups ``g, g + 4, g + 8, ...``, two
-    rows within distance ``_JOIN_RADIUS`` agree exactly on at least one
-    group.  So comparing only rows that share a key in some group finds
-    every pair within the radius, hence every row's whole nearest set
-    when its minimum lies within it.  Each group is joined on its own:
-    its buckets come from one lexsort over its columns, its pairs are
-    verified in chunks of ``_JOIN_CHUNK``, and only pairs within the
-    radius are kept.  Each row's minimum is taken over its kept pairs in
-    one pass; rows left above the radius get :func:`_scan_row`.  A
-    minimal pair kept by two groups is dropped once, in the final sort
-    by (row, neighbour) that builds the CSR.
+    ``_JOIN_GROUPS`` disjoint groups ``g, g + 4, g + 8, ...``, two rows
+    within distance ``_JOIN_RADIUS`` agree exactly on at least one group.
+    So comparing only rows that share a key in some group finds every
+    pair within the radius, hence every row's whole nearest set when its
+    minimum lies within it.
+
+    Every distance is counted on packed words (:func:`_pack_groups`):
+    each group of a row becomes ``k`` ``uint64`` words (``k = 1`` up to
+    ``n = 19``, 2 from 20 on), one ``b``-bit field per cell.  Every value
+    is below ``2^b``, so packing is injective: two rows agree on a group
+    exactly when its words are equal, and the words are the group's
+    bucket key.  Two rows differ in as many columns as ``x``, the xor of
+    their words, has nonzero fields, and :func:`_nonzero_fields` counts
+    them as ``popcount((((x & low) + low) | x) & high)``.  Proof: a field
+    of ``x & low`` is at most ``2^(b-1) - 1``, so adding ``low`` (the same
+    ``2^(b-1) - 1`` in every field) carries into the field's top bit
+    exactly when those low bits are nonzero, and never into the next
+    field; or-ing ``x`` sets the top bit where ``x``'s own is set, and
+    ``high`` keeps only the top bits.
+
+    Each group is joined on its own: one lexsort over its words makes
+    equal keys adjacent, and a bucket starts wherever a sorted key
+    differs from the one before it.  A pair of a bucket agrees on the
+    group by construction, so its distance is counted on the other
+    groups' words only; those are gathered in the group's sorted order
+    once, so a chunk of ``_JOIN_CHUNK`` pairs reads sorted positions
+    that lie close together, and only pairs within the radius are mapped
+    back to rows and kept.  Each row's minimum is taken over its kept
+    pairs in one pass; rows left above the radius are measured against
+    every row on the words.  A minimal pair kept by two groups is
+    dropped once, in the final sort by (row, neighbour) that builds the
+    CSR.
     """
     import numpy as np
 
     rows = _encoded_range(n)
     lo, count = 1 << (n - 1), len(rows)
+    words, k, low, high = _pack_groups(rows, n)
     kept_a, kept_b = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     kept_d = [np.empty(0, np.uint8)]
     verified = 0
-    for g in range(_JOIN_RADIUS + 1):
-        # One sort makes equal rows adjacent; a bucket starts wherever a
-        # sorted row differs from the one before it.
-        keys = rows[:, g :: _JOIN_RADIUS + 1]
-        order = np.lexsort(keys.T).astype(np.int32)
-        keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    for g in range(_JOIN_GROUPS):
+        keys = words[g * k : (g + 1) * k]
+        order = np.lexsort(keys).astype(np.int32)
+        keys = keys[:, order]
+        starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
         del keys
         # Sorted position p pairs with positions p+1 .. end of its bucket.
         # before[p] counts the pairs ahead of p and before[count] is the
@@ -492,17 +558,19 @@ def _minima_by_row(n: int) -> _LengthMinima:
         # (p, p + 1 + f - before[p]) for the last p with before[p] <= f.
         ends = np.repeat(np.r_[starts[1:], count], np.diff(np.r_[starts, count]))
         before = np.r_[0, np.cumsum(ends - np.arange(1, count + 1))]
-        del starts, ends  # the pair loop reads only order and before
+        del starts, ends  # the pair loop reads only order, before and others
+        others = [word[order] for j, word in enumerate(words) if j // k != g]
         for first in range(0, before[-1], _JOIN_CHUNK):
             flat = np.arange(first, min(first + _JOIN_CHUNK, before[-1]))
             p = np.searchsorted(before, flat, side="right") - 1
-            a, b = order[p], order[p + 1 + flat - before[p]]
-            verified += len(a)
-            d = np.count_nonzero(rows[a] != rows[b], axis=1)
+            q = p + 1 + flat - before[p]
+            verified += len(p)
+            d = sum(_nonzero_fields(word[p] ^ word[q], low, high) for word in others)
             near = d <= _JOIN_RADIUS
-            kept_a.append(a[near])
-            kept_b.append(b[near])
-            kept_d.append(d[near].astype(np.uint8))
+            kept_a.append(order[p[near]])
+            kept_b.append(order[q[near]])
+            kept_d.append(d[near])
+        del others
     a, b = np.concatenate(kept_a + kept_b), np.concatenate(kept_b + kept_a)
     d = np.concatenate(kept_d + kept_d)
     minvm = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
@@ -511,7 +579,8 @@ def _minima_by_row(n: int) -> _LengthMinima:
     a, b = [a[minimal]], [b[minimal]]
     scanned = np.flatnonzero(minvm > _JOIN_RADIUS)  # no neighbour within the radius
     for idx in scanned.tolist():
-        minvm[idx], nearest = _scan_row(rows, idx)
+        diffs = sum(_nonzero_fields(word ^ word[idx], low, high) for word in words)
+        minvm[idx], nearest = _least_but(idx, diffs)
         a.append(np.full(len(nearest), idx, dtype=np.int32))
         b.append(nearest)
     a, b = np.concatenate(a), np.concatenate(b)
@@ -698,35 +767,45 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
     """Raise :class:`InternalInvariantError` at the first constructive
     witness, in row order and then in rule order, that leaves the
     bit-length or whose distance in the table differs from its predicted
-    cost.  Each flip is measured on every row of its shape at once.  A
-    flip that is not positive or reaches bit ``n - 1`` leaves the
-    bit-length from every row, so it is caught on the Python int before
-    any array math.  The shapes and their rows come from the sweep: only
-    shape 0, the Case1 shape, can hold more than one row (see
-    :func:`_shape_ids`), so it is the only one looked up in
-    ``shape_id``; every other shape's one row is its representative."""
+    cost.  A flip that is not positive or reaches bit ``n - 1`` leaves
+    the bit-length from every row, so it is caught on the Python int
+    before any array math.  The shapes and their rows come from the
+    sweep: only shape 0, the Case1 shape, can hold more than one row (see
+    :func:`_shape_ids`), so each of its flips is measured on all of its
+    rows at once; every other shape's one row is its representative, and
+    the witnesses of all those rows are measured in one comparison."""
     import numpy as np
 
     n, rows = sweep.n, _encoded_range(sweep.n)
-    first = None  # (row, rule index, message) of the first failure so far
+    case1 = np.flatnonzero(sweep.shape_id == 0)
+    failures = []  # (row, rule index, flip, rule, cost, measured or None if it leaves)
+    single = []  # (row, rule index, flip, rule, cost) of every one-row shape
     for s, shape in enumerate(sweep.shapes):
-        idx = sweep.representatives[s : s + 1] if s else np.flatnonzero(sweep.shape_id == 0)
+        row = int(sweep.representatives[s])
         for k, (flip, cost, rule) in enumerate(_witness_flips(shape)):
+            # flip < 2^(n-1) keeps the leading bit, so w ^ flip is row ^ flip
             if flip <= 0 or flip >> (n - 1):
-                row, problem = int(idx[0]), "leaves the bit-length range"
+                failures.append((row, k, flip, rule, cost, None))
+            elif s:
+                single.append((row, k, flip, rule, cost))
             else:
-                # flip < 2^(n-1) keeps the leading bit, so w ^ flip is row idx ^ flip
-                measured = np.count_nonzero(rows[idx] != rows[idx ^ flip], axis=1)
-                wrong = np.flatnonzero(measured != cost)
-                if not len(wrong):
-                    continue
-                row = int(idx[wrong[0]])
-                problem = f"predicted cost {cost} but measures {measured[wrong[0]]}"
-            if first is None or (row, k) < first[:2]:
-                w = (1 << (n - 1)) + row
-                first = row, k, f"witness {w ^ flip} of w={w} ({rule}) {problem}"
-    if first is not None:
-        raise InternalInvariantError(first[2])
+                measured = np.count_nonzero(rows[case1] != rows[case1 ^ flip], axis=1)
+                wrong = np.flatnonzero(measured != cost)[:1].tolist()
+                failures += [(int(case1[i]), k, flip, rule, cost, int(measured[i])) for i in wrong]
+    at = np.array([(row, flip) for row, _, flip, _, _ in single], dtype=np.int64).reshape(-1, 2)
+    measured = np.count_nonzero(rows[at[:, 0]] != rows[at[:, 0] ^ at[:, 1]], axis=1).tolist()
+    failures += [
+        (row, k, flip, rule, cost, d)
+        for (row, k, flip, rule, cost), d in zip(single, measured)
+        if d != cost
+    ]
+    if failures:
+        row, _, flip, rule, cost, measured = min(failures)
+        w = (1 << (n - 1)) + row
+        problem = "leaves the bit-length range"
+        if measured is not None:
+            problem = f"predicted cost {cost} but measures {measured}"
+        raise InternalInvariantError(f"witness {w ^ flip} of w={w} ({rule}) {problem}")
 
 
 def _survey(n: int, cap: int) -> _LengthSweep:

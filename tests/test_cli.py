@@ -185,10 +185,19 @@ def table_was_allocated(n, idx):
     pytest.fail(f"the {n}-bit table was allocated")
 
 
-def verify_theorem_into_a_missing_directory(workdir, monkeypatch):
-    return main([
-        "verify-theorem", "--bits-min", "4", "--bits-max", "5", "--out", "missing/rows.csv",
-    ])
+def into_a_missing_directory(*argv):
+    """``argv``, a sweep whose ``--out`` lies in a directory that does not
+    exist: refused before the sweep joins any table."""
+
+    def run(workdir, monkeypatch):
+        monkeypatch.setattr(resilience, "_minima_by_row", table_was_joined)
+        return main(list(argv))
+
+    return run
+
+
+def table_was_joined(n):
+    pytest.fail(f"the {n}-bit table was joined")
 
 
 # The strong watermarks leave the bounded search more codewords to
@@ -229,8 +238,11 @@ ANALYZE_2_39 = (
          (0, ANALYZE_2_39, "")),
         (without_a_memory_figure(lambda: resilience.survey_range(50, cap=50)),
          ResourceBoundError),
-        (verify_theorem_into_a_missing_directory,
-         (3, "", r"error: [^\n]*missing/rows\.csv[^\n]*\n")),
+        (into_a_missing_directory(
+            "verify-theorem", "--bits-min", "4", "--bits-max", "5", "--out", "missing/rows.csv"),
+         (3, "", r"error: \[Errno 2\] [^\n]*'missing/rows\.csv'\n")),
+        (into_a_missing_directory("survey", "--bits", "4", "--out", "missing/t.csv"),
+         (3, "", r"error: \[Errno 2\] [^\n]*'missing/t\.csv'\n")),
         (lambda *_: resilience.survey_range(10**5, cap=10**5), ResourceBoundError),
         (lambda *_: resilience.verify_theorem(4, 10**5, cap=10**5), ResourceBoundError),
         (lambda *_: resilience.minvm_oracle(1 << 20000, cap=20001), ResourceBoundError),
@@ -239,7 +251,7 @@ ANALYZE_2_39 = (
          "non-text-file", "unknown-physical-memory", "huge-table-unknown-memory",
          "unallocatable-survey", "unallocatable-analyze", "analyze-without-a-table",
          "unallocatable-survey-range",
-         "verify-theorem-out-in-a-missing-directory",
+         "verify-theorem-out-in-a-missing-directory", "survey-out-in-a-missing-directory",
          "huge-survey", "huge-verify-theorem", "huge-oracle"],
 )
 def test_rarely_reached_branches(workdir, capsys, monkeypatch, call, outcome):
@@ -282,6 +294,21 @@ def test_oracle_above_the_closed_form_in_a_sweep_is_an_internal_error(
         "the witness constructions are wrong\n"
     )
     assert not (workdir / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-theorem", "--bits-min", "4", "--bits-max", "5"], ["survey", "--bits", "4"]],
+    ids=["verify-theorem", "survey"],
+)
+def test_a_failed_sweep_empties_an_out_file_it_did_not_create(workdir, capsys, monkeypatch, argv):
+    # the file is opened before the sweep, which truncates it; only a
+    # file the command created is removed when the sweep fails
+    (workdir / "rows.csv").write_text("earlier rows\n", encoding="utf-8")
+    monkeypatch.setattr(resilience, "_closed_form", lambda shape: 2)
+    assert main(argv + ["--out", "rows.csv"]) == 5
+    assert capsys.readouterr().err.startswith("internal error: oracle minimum 3 exceeds")
+    assert (workdir / "rows.csv").read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,32 @@ def test_vectorised_rule_matches_the_codec_beyond_the_exhaustive_range():
         ], n
 
 
+def test_packed_words_count_the_columns_that_differ():
+    # The join's bucket keys and distances, on seeded rows of every
+    # layout: one word per group up to 19 bits and two from 20 on (the
+    # only tier-1 check of two words; the 20-bit join runs under -m slow).
+    rng = random.Random(25)
+    groups = resilience._JOIN_GROUPS
+    for n in range(2, 25):
+        last = (1 << (n - 1)) - 1
+        idx = [0, last] + [rng.randint(0, last) for _ in range(30)]
+        idx += [i ^ 1 for i in idx]  # flipping b_n keeps most columns
+        rows = resilience._domination_maps(n, np.array(idx, dtype=np.int64))
+        words, k, low, high = resilience._pack_groups(rows, n)
+        assert words.shape == (groups * k, len(idx)) and k == 1 + (n >= 20), n
+        a, b = np.triu_indices(len(idx), 1)
+        fields = resilience._nonzero_fields(words[:, a] ^ words[:, b], low, high)
+        assert np.array_equal(fields.sum(axis=0), np.count_nonzero(rows[a] != rows[b], axis=1))
+        shared = 0
+        for g in range(groups):
+            columns = rows[:, g::groups]
+            same_columns = (columns[a] == columns[b]).all(axis=1)
+            same_words = (words[g * k : (g + 1) * k, a] == words[g * k : (g + 1) * k, b]).all(0)
+            assert np.array_equal(same_words, same_columns), (n, g)
+            shared += int(np.count_nonzero(same_columns & (rows[a] != rows[b]).any(axis=1)))
+        assert shared, n  # some pairs of distinct rows share a group
+
+
 def test_table_memory_estimate_counts_the_working_arrays(monkeypatch):
     n, width = 16, 33
     monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 0)
