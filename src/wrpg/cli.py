@@ -175,21 +175,28 @@ def _table(sweeps, table_format: str):
 
 @contextmanager
 def _table_out(out: str | None):
-    """Where a sweep's table goes: stdout, or the file ``out``, opened
-    before the sweep so that an unwritable path is refused before any
-    work.  When the sweep fails, a file it created is removed again; a
-    file that was there before is left empty."""
+    """A function that writes a sweep's table, given as text chunks, to
+    stdout or to the file ``out``.  The file is opened for appending
+    before the sweep, so that an unwritable path is refused before any
+    work, and truncated only when the table is written, after the sweep
+    has succeeded.  When the sweep fails, a file it created is removed
+    again, and a file that was there before keeps its bytes."""
     if out is None:
-        yield sys.stdout
+        yield sys.stdout.writelines
         return
     created = not os.path.lexists(out)
-    with open(out, "w", encoding="utf-8") as file:
-        try:
-            yield file
-        except BaseException:
-            if created:
-                os.remove(out)
-            raise
+    open(out, "a", encoding="utf-8").close()
+
+    def write(chunks) -> None:
+        with open(out, "w", encoding="utf-8") as file:
+            file.writelines(chunks)
+
+    try:
+        yield write
+    except BaseException:
+        if created:
+            os.remove(out)
+        raise
 
 
 def _cmd_encode(args) -> int:
@@ -263,16 +270,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    with _table_out(args.out) as file:
-        file.writelines(_table([_survey(args.bits, args.cap_override)], args.format))
+    with _table_out(args.out) as write:
+        write(_table([_survey(args.bits, args.cap_override)], args.format))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    with _table_out(args.out) if args.out else nullcontext() as file:
+    with _table_out(args.out) if args.out else nullcontext() as write:
         result = verify_theorem(args.bits_min, args.bits_max, cap=args.cap_override)
-        if file is not None:
-            file.writelines(_table(result._sweeps, args.format))
+        if write is not None:
+            write(_table(result._sweeps, args.format))
     for s in result.summaries:
         print(
             f"n={s.n} watermarks={s.count} max_minvm={s.max_minvm} "

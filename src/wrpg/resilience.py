@@ -16,9 +16,9 @@ bit-lengths are unreachable).  Three routes to it live here:
 ``verify_theorem`` and ``survey_range`` need the oracle for every
 watermark of a bit-length at once; they get it from one exact join per
 bit-length (:func:`_minima_by_row`) instead of one full row scan per
-watermark.  The join packs each of its column groups into ``uint64``
-words, one field per cell: a group's words are its bucket key, and a
-pair's distance is a popcount of the xor of its words.
+watermark.  Two codewords within the join's radius differ in exactly one
+bit, as proved there, so the join compares each row with its ``n - 1``
+single-bit flips, each bit a strided view of the table.
 ``minvm_oracle`` stays the brute-force single-row scan and is the test
 reference for the join and for ``analyze_watermark``.  That
 gets one watermark's oracle from an exact search over its bits
@@ -34,9 +34,9 @@ builder of ``ResilienceReport``, :func:`_report`, gives every closed
 form and strength a caller sees, for ``analyze``, the library reports
 and the rows of each shape in the CLI's tables, which write every
 other cell straight from the arrays.  The witness check applies each
-flip of the Case1 shape to all of its rows in one array comparison,
-and measures every witness of the other shapes, one row each, in one
-more.
+flip of the Case1 shape to its rows, ``_BUILD_CHUNK`` table rows at a
+time, and measures every witness of the other shapes, one row each, in
+one more array comparison.
 
 Each watermark is classified (:func:`~wrpg.sip.bit_shape`) once, by a
 public entry point: ``analyze_watermark`` classifies ``w`` and a sweep
@@ -177,12 +177,11 @@ _BUILD_CELL_BYTES = 32
 
 # A join's working arrays hold at most _JOIN_CELL_BYTES bytes per cell
 # of its table plus _JOIN_FLOOR_BYTES.  The tracemalloc peaks of
-# _minima_by_row, with its table built beforehand, are 4.3-5.3 bytes per
-# cell for n = 16..20: 5.7, 22.1 and 104.7 MB at n = 16, 18 and 20,
-# against budgets of 12.8, 43.0 and 176.2 MB.  Most of it is the packed
-# words and one group's copy of the others in its sorted order; from
-# n = 20 on each group takes two words instead of one.  Below n = 16 the
-# arrays of one _JOIN_CHUNK of pairs, at most 2 MB, are most of the peak.
+# _minima_by_row, with its table built beforehand, are 2.2-2.7 bytes per
+# cell for n = 16..20: 2.9, 11.7 and 47.3 MB at n = 16, 18 and 20,
+# against budgets of 12.8, 43.0 and 176.2 MB.  Most of it is one far
+# row's scan (a bool copy of the table and a distance per row) while the
+# pairs within the radius are held, each both ways round.
 _JOIN_CELL_BYTES = 8
 _JOIN_FLOOR_BYTES = 4 << 20
 
@@ -345,14 +344,9 @@ def _row(w: int) -> tuple[int, ...]:
 def _scan_row(rows: "np.ndarray", idx: int) -> tuple[int, "np.ndarray"]:
     """Minimum distance from row ``idx`` to every other row, with the
     ascending indices of the rows that attain it."""
-    return _least_but(idx, (rows != rows[idx]).sum(axis=1))
-
-
-def _least_but(idx: int, diffs: "np.ndarray") -> tuple[int, "np.ndarray"]:
-    """The least of ``diffs`` but entry ``idx``, which it overwrites,
-    with the ascending indices that attain it."""
     import numpy as np
 
+    diffs = (rows != rows[idx]).sum(axis=1)
     diffs[idx] = np.iinfo(diffs.dtype).max  # never pick the row itself
     best = int(diffs.min())
     return best, np.flatnonzero(diffs == best)
@@ -442,17 +436,15 @@ def _nearest_by_search(
 # at distance 3, so a join within radius 3 settles all but the 2n-2
 # others, which get a full row scan.
 _JOIN_RADIUS = 3
-_JOIN_GROUPS = _JOIN_RADIUS + 1
-_JOIN_CHUNK = 1 << 14  # candidate pairs checked at once
 
 
 class _LengthMinima(NamedTuple):
     """The oracle's ``minVM`` of every row of one bit-length's table and
     its nearest set as CSR: row ``i``'s ascending nearest watermarks are
     ``nearest[offsets[i]:offsets[i + 1]]``.  With the join's work: pairs
-    whose distance it computed, a pair once for each group it shares,
-    and rows that had no neighbour within the radius and were scanned in
-    full."""
+    whose distance it computed, each row with each of its single-bit
+    flips once, ``(n - 1) 2^(n-2)`` pairs; and rows that had no
+    neighbour within the radius and were scanned in full."""
 
     minvm: "np.ndarray"
     offsets: "np.ndarray"
@@ -468,129 +460,111 @@ class _LengthMinima(NamedTuple):
         return tuple(self.nearest[self.offsets[row] : self.offsets[row + 1]].tolist())
 
 
-def _pack_groups(rows: "np.ndarray", n: int) -> "tuple[np.ndarray, int, np.uint64, np.uint64]":
-    """The column groups ``g, g + 4, g + 8, ...`` of the ``n``-bit table
-    ``rows``, packed into ``k`` ``uint64`` words per group, with the
-    field masks ``low`` and ``high`` that :func:`_nonzero_fields` takes.
-
-    Row ``g * k + j`` of the words holds word ``j`` of group ``g`` for
-    every row of the table.  Each cell takes one field of ``b = (2n +
-    2).bit_length()`` bits, ``64 // b`` fields to a word: cell ``i`` of a
-    group is field ``i % (64 // b)`` of word ``i // (64 // b)``.  A shorter
-    group's last fields are zero.  ``low`` holds each field's low ``b - 1``
-    bits and ``high`` each field's top bit."""
-    import numpy as np
-
-    m, b = 2 * n + 1, (2 * n + 2).bit_length()
-    per_word, widest = 64 // b, -(-m // _JOIN_GROUPS)
-    k = -(-widest // per_word)
-    words = np.zeros((_JOIN_GROUPS * k, len(rows)), dtype=np.uint64)
-    for c in range(m):
-        g, i = c % _JOIN_GROUPS, c // _JOIN_GROUPS  # column c is cell i of group g
-        words[g * k + i // per_word] |= rows[:, c].astype(np.uint64) << (i % per_word * b)
-    lowest = sum(1 << i * b for i in range(per_word))  # each field's lowest bit
-    high = lowest << (b - 1)
-    return words, k, np.uint64(high - lowest), np.uint64(high)
-
-
-def _nonzero_fields(x: "np.ndarray", low: "np.uint64", high: "np.uint64") -> "np.ndarray":
-    """The number of nonzero fields of each word of ``x`` (see
-    :func:`_minima_by_row`), as ``uint8``."""
-    import numpy as np
-
-    return np.bitwise_count((((x & low) + low) | x) & high)
-
-
 def _minima_by_row(n: int) -> _LengthMinima:
     """Exact ``minvm_oracle`` of every watermark of bit-length ``n``.
 
-    A pigeonhole (multi-index) join: with the columns split into the
-    ``_JOIN_GROUPS`` disjoint groups ``g, g + 4, g + 8, ...``, two rows
-    within distance ``_JOIN_RADIUS`` agree exactly on at least one group.
-    So comparing only rows that share a key in some group finds every
-    pair within the radius, hence every row's whole nearest set when its
-    minimum lies within it.
+    A single-flip join: row ``i`` is compared with row ``i ^ 2^j`` for
+    each bit ``j`` of the row index, and with no other row.  That finds
+    every pair within ``_JOIN_RADIUS``, because two codewords whose
+    watermarks differ in two or more bits are at least 4 apart (the
+    lemma below).  So a row whose minimum lies within the radius gets it,
+    and its whole nearest set, from its ``n - 1`` flips; a row with no
+    flip within the radius is measured against every row
+    (:func:`_scan_row`).  For bit ``j``, ``rows.reshape(-1, 2, 2^j,
+    width)`` puts each row whose bit ``j`` is 0 beside its flip, so both
+    sides are views of the table: no gather and no sort, and each pair is
+    compared once, ``(n - 1) 2^(n-2)`` pairs in all.  Each row's minimum
+    is taken over its pairs within the radius in one pass, and one sort
+    by (row, neighbour) builds the CSR.
 
-    Every distance is counted on packed words (:func:`_pack_groups`):
-    each group of a row becomes ``k`` ``uint64`` words (``k = 1`` up to
-    ``n = 19``, 2 from 20 on), one ``b``-bit field per cell.  Every value
-    is below ``2^b``, so packing is injective: two rows agree on a group
-    exactly when its words are equal, and the words are the group's
-    bucket key.  Two rows differ in as many columns as ``x``, the xor of
-    their words, has nonzero fields, and :func:`_nonzero_fields` counts
-    them as ``popcount((((x & low) + low) | x) & high)``.  Proof: a field
-    of ``x & low`` is at most ``2^(b-1) - 1``, so adding ``low`` (the same
-    ``2^(b-1) - 1`` in every field) carries into the field's top bit
-    exactly when those low bits are nonzero, and never into the next
-    field; or-ing ``x`` sets the top bit where ``x``'s own is set, and
-    ``high`` keeps only the top bits.
+    Notation as in :func:`_domination_maps` (``B'``, ``m``, ``s``,
+    ``pi``, ``k`` ones in ``b`` and ``a`` the first 0-position after
+    ``n``); ``h`` is the number of bits in which two watermarks differ,
+    and ``d`` the number of columns in which their rows differ.
 
-    Each group is joined on its own: one lexsort over its words makes
-    equal keys adjacent, and a bucket starts wherever a sorted key
-    differs from the one before it.  A pair of a bucket agrees on the
-    group by construction, so its distance is counted on the other
-    groups' words only; those are gathered in the group's sorted order
-    once, so a chunk of ``_JOIN_CHUNK`` pairs reads sorted positions
-    that lie close together, and only pairs within the radius are mapped
-    back to rows and kept.  Each row's minimum is taken over its kept
-    pairs in one pass; rows left above the radius are measured against
-    every row on the words.  A minimal pair kept by two groups is
-    dropped once, in the final sort by (row, neighbour) that builds the
-    CSR.
+    (R1) Column ``n + j`` is ``s`` exactly when ``b_j = 1``; so columns
+    ``n+2..2n`` differ in at least ``h`` places (``b_1`` is always 1).
+
+    (R2) Columns ``1..n`` follow from the bits.  For ``e <= k``, let
+    ``Z`` count the zeros of ``b`` before its ``e``-th one: column ``e``
+    is ``n + 2 - Z`` if ``Z >= 2``, ``a`` if ``Z = 1``, and the second
+    0-position after ``n`` if ``Z = 0`` (``2n`` when ``b`` has no 0).
+    For ``k < e < n`` it is ``e + 1``, and column ``n`` is ``a`` when
+    ``k < n``.  Proof: column ``e`` is ``pi(q)``, ``q`` the latest
+    0-position before ``pi(e)``.  There are ``n - k + 1`` 0-positions
+    after ``n``; the ``Z``-th of them, for ``Z >= 2``, lies above ``a``
+    with rank ``n - k + 2 - Z`` from the top, so it holds ``n + 2 - Z``.
+    For ``e <= k``, ``pi(e)`` is the ``e``-th 1-position, so ``q`` is the
+    ``Z``-th 0-position after ``n``, or ``n`` itself when ``Z = 0``;
+    ``pi(a) = a``, and ``pi(n)`` is the next 0-position after ``a``, or
+    the last 1-position ``2n`` when ``k = n``.  For ``e > k``, ``pi(e)``
+    is the 0-position of rank ``e - k`` from the top, so ``q`` is the one
+    of rank ``e - k + 1``, which holds ``e + 1`` when ``e < n`` and is
+    ``a`` when ``e = n``.
+
+    Lemma: ``h >= 2`` implies ``d >= 4``.  Let ``w`` and ``w'`` have ``k
+    <= k'`` ones.
+
+    1. For ``e <= k``, column ``e`` is never ``e + 1``: it is ``n + 2 -
+       Z >= e + 2``, since ``Z <= n - k <= n - e``, or it exceeds ``n +
+       1``.  So columns ``k + 1 .. min(k', n - 1)`` are ``e + 1`` in
+       ``w`` only.  If ``k' = n``, ``w``'s zeros are the ``h >= 2`` bits
+       that differ, so its column ``n``, ``a``, lies below ``2n``, which
+       is column ``n`` of ``w'``.  So columns ``1..n`` differ in at least
+       ``k' - k`` places, and with (R1) ``d >= h + k' - k``.  That
+       settles ``h >= 4``, ``h = 3`` (``k' - k`` has the parity of ``h``)
+       and ``h = 2`` with ``k' != k``.
+    2. Left: ``h = 2`` and ``k = k'``, so the bits differ at ``j1 < j2``,
+       and ``w`` is now the one with ``b_j1 = 1``, ``b_j2 = 0``.  Besides
+       columns ``n + j1`` and ``n + j2``, two more differ:
+
+       (A) When ``b`` has a 0 before bit ``j1``, at ``n + i`` for the
+       latest, column ``n + i`` is the next 0-position: ``n + j1`` in
+       ``w'``, later in ``w``.  Otherwise column ``n`` is ``a`` (``k <
+       n``, as ``w'`` has a 0): ``n + j1`` in ``w'``, later in ``w``.
+
+       (B) When ``b`` has a 0 between bits ``j1`` and ``j2``, at ``n +
+       i`` for the latest, column ``n + i`` is ``n + j2`` in ``w``, later
+       in ``w'``.  Otherwise bits ``j1 .. j2 - 1`` of ``w`` and ``j1 + 1
+       .. j2`` of ``w'`` are ones, and the first of them has the same
+       rank ``r`` in both, after the ``Z0`` zeros before ``j1`` in ``w``
+       and ``Z0 + 1`` in ``w'``.  By (R2), column ``r`` of ``w`` and of
+       ``w'`` is ``n + 2 - Z0`` and ``n + 1 - Z0`` if ``Z0 >= 2``; ``a >
+       n`` and ``n`` if ``Z0 = 1``; the second 0-position after ``n``,
+       beyond ``n + j2``, and ``n + j1`` if ``Z0 = 0``.
+
+       (A) lies below ``n + j1`` and (B) above it or in ``1..n``; both
+       are ``<= n`` only when ``Z0 = 0``, and then (A) is ``n`` and (B)
+       is ``r = j1 < n``.  So the four columns are distinct.
     """
     import numpy as np
 
     rows = _encoded_range(n)
-    lo, count = 1 << (n - 1), len(rows)
-    words, k, low, high = _pack_groups(rows, n)
-    kept_a, kept_b = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    kept_d = [np.empty(0, np.uint8)]
-    verified = 0
-    for g in range(_JOIN_GROUPS):
-        keys = words[g * k : (g + 1) * k]
-        order = np.lexsort(keys).astype(np.int32)
-        keys = keys[:, order]
-        starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
-        del keys
-        # Sorted position p pairs with positions p+1 .. end of its bucket.
-        # before[p] counts the pairs ahead of p and before[count] is the
-        # group's total, so pair number f of the group is
-        # (p, p + 1 + f - before[p]) for the last p with before[p] <= f.
-        ends = np.repeat(np.r_[starts[1:], count], np.diff(np.r_[starts, count]))
-        before = np.r_[0, np.cumsum(ends - np.arange(1, count + 1))]
-        del starts, ends  # the pair loop reads only order, before and others
-        others = [word[order] for j, word in enumerate(words) if j // k != g]
-        for first in range(0, before[-1], _JOIN_CHUNK):
-            flat = np.arange(first, min(first + _JOIN_CHUNK, before[-1]))
-            p = np.searchsorted(before, flat, side="right") - 1
-            q = p + 1 + flat - before[p]
-            verified += len(p)
-            d = sum(_nonzero_fields(word[p] ^ word[q], low, high) for word in others)
-            near = d <= _JOIN_RADIUS
-            kept_a.append(order[p[near]])
-            kept_b.append(order[q[near]])
-            kept_d.append(d[near])
-        del others
-    a, b = np.concatenate(kept_a + kept_b), np.concatenate(kept_b + kept_a)
-    d = np.concatenate(kept_d + kept_d)
+    count, width = rows.shape
+    a, b, d = [], [], []
+    for j in range(n - 1):
+        pairs = rows.reshape(-1, 2, 1 << j, width)
+        dist = np.count_nonzero(pairs[:, 0] != pairs[:, 1], axis=2).ravel()
+        near = np.flatnonzero(dist <= _JOIN_RADIUS)
+        low = near >> j << (j + 1) | near & ((1 << j) - 1)  # the row whose bit j is 0
+        a.append(low)
+        b.append(low | 1 << j)
+        d.append(dist[near].astype(np.uint8))
+    a, b, d = np.concatenate(a + b), np.concatenate(b + a), np.concatenate(d + d)
     minvm = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
     np.minimum.at(minvm, a, d)
     minimal = d == minvm[a]
     a, b = [a[minimal]], [b[minimal]]
-    scanned = np.flatnonzero(minvm > _JOIN_RADIUS)  # no neighbour within the radius
+    scanned = np.flatnonzero(minvm > _JOIN_RADIUS)  # no flip within the radius
     for idx in scanned.tolist():
-        diffs = sum(_nonzero_fields(word ^ word[idx], low, high) for word in words)
-        minvm[idx], nearest = _least_but(idx, diffs)
-        a.append(np.full(len(nearest), idx, dtype=np.int32))
+        minvm[idx], nearest = _scan_row(rows, idx)
+        a.append(np.full(len(nearest), idx))
         b.append(nearest)
     a, b = np.concatenate(a), np.concatenate(b)
     by_row = np.lexsort((b, a))
-    a, b = a[by_row], b[by_row]
-    fresh = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]  # once per pair, not per group
-    a, b = a[fresh], b[fresh]
-    offsets = np.searchsorted(a, np.arange(count + 1))
-    nearest = b.astype(np.int64) + lo
-    return _LengthMinima(minvm, offsets, nearest, verified, len(scanned))
+    offsets = np.searchsorted(a[by_row], np.arange(count + 1))
+    nearest = b[by_row] + (1 << (n - 1))
+    return _LengthMinima(minvm, offsets, nearest, (n - 1) * count // 2, len(scanned))
 
 
 def strong_watermark_of(n: int) -> int:
@@ -771,13 +745,14 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
     the bit-length from every row, so it is caught on the Python int
     before any array math.  The shapes and their rows come from the
     sweep: only shape 0, the Case1 shape, can hold more than one row (see
-    :func:`_shape_ids`), so each of its flips is measured on all of its
-    rows at once; every other shape's one row is its representative, and
-    the witnesses of all those rows are measured in one comparison."""
+    :func:`_shape_ids`), so each of its flips is measured on its rows
+    ``_BUILD_CHUNK`` rows of the table at a time; every other shape's one
+    row is its representative, and the witnesses of all those rows are
+    measured in one comparison."""
     import numpy as np
 
     n, rows = sweep.n, _encoded_range(sweep.n)
-    case1 = np.flatnonzero(sweep.shape_id == 0)
+    case1 = sweep.shape_id == 0
     failures = []  # (row, rule index, flip, rule, cost, measured or None if it leaves)
     single = []  # (row, rule index, flip, rule, cost) of every one-row shape
     for s, shape in enumerate(sweep.shapes):
@@ -789,9 +764,11 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
             elif s:
                 single.append((row, k, flip, rule, cost))
             else:
-                measured = np.count_nonzero(rows[case1] != rows[case1 ^ flip], axis=1)
-                wrong = np.flatnonzero(measured != cost)[:1].tolist()
-                failures += [(int(case1[i]), k, flip, rule, cost, int(measured[i])) for i in wrong]
+                for start in range(0, len(rows), _BUILD_CHUNK):
+                    part = start + np.flatnonzero(case1[start : start + _BUILD_CHUNK])
+                    measured = np.count_nonzero(rows[part] != rows[part ^ flip], axis=1)
+                    for i in np.flatnonzero(measured != cost)[:1].tolist():
+                        failures.append((int(part[i]), k, flip, rule, cost, int(measured[i])))
     at = np.array([(row, flip) for row, _, flip, _, _ in single], dtype=np.int64).reshape(-1, 2)
     measured = np.count_nonzero(rows[at[:, 0]] != rows[at[:, 0] ^ at[:, 1]], axis=1).tolist()
     failures += [

@@ -296,19 +296,33 @@ def test_oracle_above_the_closed_form_in_a_sweep_is_an_internal_error(
     assert not (workdir / "rows.csv").exists()
 
 
+def planted_failure(*args):
+    raise InternalInvariantError("planted")
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["verify-theorem", "--bits-min", "4", "--bits-max", "5"], ["survey", "--bits", "4"]],
+    "argv,stage",
+    [
+        (["verify-theorem", "--bits-min", "4", "--bits-max", "5"], "_check_witnesses"),
+        (["survey", "--bits", "4"], "_minima_by_row"),
+    ],
     ids=["verify-theorem", "survey"],
 )
-def test_a_failed_sweep_empties_an_out_file_it_did_not_create(workdir, capsys, monkeypatch, argv):
-    # the file is opened before the sweep, which truncates it; only a
-    # file the command created is removed when the sweep fails
-    (workdir / "rows.csv").write_text("earlier rows\n", encoding="utf-8")
-    monkeypatch.setattr(resilience, "_closed_form", lambda shape: 2)
-    assert main(argv + ["--out", "rows.csv"]) == 5
-    assert capsys.readouterr().err.startswith("internal error: oracle minimum 3 exceeds")
-    assert (workdir / "rows.csv").read_text(encoding="utf-8") == ""
+def test_a_failed_sweep_keeps_an_out_file_it_did_not_create(
+    workdir, capsys, monkeypatch, argv, stage
+):
+    # the file is opened before the sweep but truncated only to write the
+    # table, so a failed sweep leaves an earlier file's bytes as they were
+    earlier = b"earlier rows\nand more rows than a table of 4 bits\n" * 20
+    (workdir / "rows.csv").write_bytes(earlier)
+    with monkeypatch.context() as patched:
+        patched.setattr(resilience, stage, planted_failure)
+        assert main(argv + ["--out", "rows.csv"]) == 5
+    assert capsys.readouterr() == ("", "internal error: planted\n")
+    assert (workdir / "rows.csv").read_bytes() == earlier
+    assert main(argv + ["--out", "rows.csv"]) == 0  # a sweep that succeeds replaces them
+    table = (workdir / "rows.csv").read_text(encoding="utf-8")
+    assert table.startswith("n,w,shape_case,") and "earlier" not in table
 
 
 @pytest.mark.parametrize(

@@ -148,30 +148,56 @@ def test_vectorised_rule_matches_the_codec_beyond_the_exhaustive_range():
         ], n
 
 
-def test_packed_words_count_the_columns_that_differ():
-    # The join's bucket keys and distances, on seeded rows of every
-    # layout: one word per group up to 19 bits and two from 20 on (the
-    # only tier-1 check of two words; the 20-bit join runs under -m slow).
-    rng = random.Random(25)
-    groups = resilience._JOIN_GROUPS
-    for n in range(2, 25):
-        last = (1 << (n - 1)) - 1
-        idx = [0, last] + [rng.randint(0, last) for _ in range(30)]
-        idx += [i ^ 1 for i in idx]  # flipping b_n keeps most columns
-        rows = resilience._domination_maps(n, np.array(idx, dtype=np.int64))
-        words, k, low, high = resilience._pack_groups(rows, n)
-        assert words.shape == (groups * k, len(idx)) and k == 1 + (n >= 20), n
-        a, b = np.triu_indices(len(idx), 1)
-        fields = resilience._nonzero_fields(words[:, a] ^ words[:, b], low, high)
-        assert np.array_equal(fields.sum(axis=0), np.count_nonzero(rows[a] != rows[b], axis=1))
-        shared = 0
-        for g in range(groups):
-            columns = rows[:, g::groups]
-            same_columns = (columns[a] == columns[b]).all(axis=1)
-            same_words = (words[g * k : (g + 1) * k, a] == words[g * k : (g + 1) * k, b]).all(0)
-            assert np.array_equal(same_words, same_columns), (n, g)
-            shared += int(np.count_nonzero(same_columns & (rows[a] != rows[b]).any(axis=1)))
-        assert shared, n  # some pairs of distinct rows share a group
+def columns_from_bits(w: int) -> list[int]:
+    """Columns ``1..n`` of ``w``'s row by rule (R2) of ``_minima_by_row``,
+    straight from the bits."""
+    n = w.bit_length()
+    bits = [int(bit) for bit in bin(w)[2:]]  # b_1..b_n
+    k = sum(bits)
+    zeros = [n + j for j, bit in enumerate(bits, 1) if not bit] + [2 * n + 1]  # 0-positions > n
+    a, columns, z = zeros[0], [], 0
+    for bit in bits:
+        if not bit:
+            z += 1
+        elif z >= 2:
+            columns.append(n + 2 - z)
+        else:
+            columns.append(a if z == 1 else zeros[1] if k < n else 2 * n)
+    columns += range(k + 2, n + 1)  # e + 1 for k < e < n
+    return columns + [a] * (k < n)
+
+
+def test_columns_one_to_n_follow_from_the_bits():
+    for n in range(2, 11):
+        for w in range(1 << (n - 1), 1 << n):
+            assert columns_from_bits(w) == list(resilience._row(w)[:n]), w
+    rng = random.Random(28)
+    for n in (64, 512, 4096):
+        lo = 1 << (n - 1)
+        seeded = [rng.randrange(lo, 2 * lo) for _ in range(4)]
+        for w in [2 * lo - 1, 2 * lo - 2, lo, lo + 1] + seeded:
+            assert columns_from_bits(w) == list(resilience._row(w)[:n]), (n, w)
+
+
+def test_watermarks_two_or_three_bits_apart_are_at_least_4_apart():
+    # the lemma the single-flip join rests on, on every row of the table
+    for n in range(3, 14):
+        rows = resilience._encoded_range(n)
+        idx = np.arange(len(rows))
+        for mask in range(1, len(rows)):
+            if mask.bit_count() in (2, 3):
+                assert np.count_nonzero(rows != rows[idx ^ mask], axis=1).min() >= 4, (n, mask)
+
+
+def test_the_witness_check_holds_less_than_a_table_above_the_sweep():
+    sweep = resilience._sweep_length(16)
+    tracemalloc.start()
+    try:
+        resilience._check_witnesses(sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < resilience._table_bytes(16)
 
 
 def test_table_memory_estimate_counts_the_working_arrays(monkeypatch):
@@ -272,14 +298,14 @@ def test_sweeps_count_the_join_before_any_work(monkeypatch, capsys, argv):
         assert captured.err == f"error: {message}\n"
 
 
-# The join's work, (pairs_verified, full_scans) for n = 2..16, where a
-# pair counts once for each group it shares, and one sha256 over its
-# minvm, offsets and nearest arrays, as the join first computed them
-# (one np.unique key per group and column).
+# The join's work, (pairs_verified, full_scans) for n = 2..16, where each
+# row is compared once with each of its single-bit flips, and one sha256
+# over its minvm, offsets and nearest arrays, as the join first computed
+# them (one np.unique key per group and column).
 JOIN_WORK = (
-    (2, 0), (8, 2), (12, 6), (24, 8), (92, 10), (339, 12), (636, 14), (1658, 16),
-    (5239, 18), (14491, 20), (30275, 22), (70320, 24), (198965, 26), (564444, 28),
-    (1147585, 30),
+    (1, 0), (4, 2), (12, 6), (32, 8), (80, 10), (192, 12), (448, 14), (1024, 16),
+    (2304, 18), (5120, 20), (11264, 22), (24576, 24), (53248, 26), (114688, 28),
+    (245760, 30),
 )
 JOIN_RESULT_SHA256 = "6e18fa6a673211ce0bd93723e4f615c468f1e083574245ba2fe07fe3c0a8cc44"
 
@@ -334,18 +360,19 @@ def test_the_gate_tools_agree_with_the_library():
 
 
 # The join's work and the sha256 of tools/join_digest.py for n = 17..20,
-# as the join computed them when each group was first joined on its own.
+# the digests as the join computed them when each group was first joined
+# on its own, the pairs as the single-flip join counts them.
 JOIN_WORK_TO_20 = {
-    17: (2639490, 32, "55b2cb03ae98bda0ef71716cd22e06b718ecbd9ea77c04aa1c57274fc64a7899"),
-    18: (7487197, 34, "252ab6abed1733f131314ee76db9f5f36ff5faf14daa6f39c527bccf6eae1487"),
-    19: (20460180, 36, "b0e0fafad390010e369a33c247cf0454e7b4e69a8373f9fdf84d6266d724ad51"),
-    20: (42000735, 38, "b2b3f66f76f9866c045c1a6ba5dc097f8f7980105d083eeb5c00dc49664b79fe"),
+    17: (524288, 32, "55b2cb03ae98bda0ef71716cd22e06b718ecbd9ea77c04aa1c57274fc64a7899"),
+    18: (1114112, 34, "252ab6abed1733f131314ee76db9f5f36ff5faf14daa6f39c527bccf6eae1487"),
+    19: (2359296, 36, "b0e0fafad390010e369a33c247cf0454e7b4e69a8373f9fdf84d6266d724ad51"),
+    20: (4980736, 38, "b2b3f66f76f9866c045c1a6ba5dc097f8f7980105d083eeb5c00dc49664b79fe"),
 }
 
 
 @pytest.mark.slow
 def test_the_join_is_pinned_to_20_bits():
-    # 12-14 s on 2 vCPUs, with a 21 MB table and a 71 MB join peak at n = 20;
+    # 4-5 s on 2 vCPUs, with a 21 MB table and a 47 MB join peak at n = 20;
     # run with `pytest -m slow`
     join_digest = load_join_digest()
     for n, (pairs, scans, sha) in JOIN_WORK_TO_20.items():
