@@ -204,7 +204,7 @@ def _cmd_encode(args) -> int:
     graph = encode_sip_to_rpg(permutation)
     out_path = args.out if args.out is not None else f"f{args.w}.json"
     save_graph(graph, out_path)
-    if args.dot:
+    if args.dot is not None:
         Path(args.dot).write_text(graph_to_dot(graph), encoding="ascii")
     if args.show_sip:
         print(permutation.one_line())
@@ -276,7 +276,7 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with _table_out(args.out) if args.out else nullcontext() as write:
+    with _table_out(args.out) if args.out is not None else nullcontext() as write:
         result = verify_theorem(args.bits_min, args.bits_max, cap=args.cap_override)
         if write is not None:
             write(_table(result._sweeps, args.format))

@@ -177,11 +177,10 @@ _BUILD_CELL_BYTES = 32
 
 # A join's working arrays hold at most _JOIN_CELL_BYTES bytes per cell
 # of its table plus _JOIN_FLOOR_BYTES.  The tracemalloc peaks of
-# _minima_by_row, with its table built beforehand, are 2.2-2.7 bytes per
-# cell for n = 16..20: 2.9, 11.7 and 47.3 MB at n = 16, 18 and 20,
+# _minima_by_row, with its table built beforehand, are 1.3-1.4 bytes per
+# cell for n = 16..20: 1.5, 6.7 and 28.7 MB at n = 16, 18 and 20,
 # against budgets of 12.8, 43.0 and 176.2 MB.  Most of it is one far
-# row's scan (a bool copy of the table and a distance per row) while the
-# pairs within the radius are held, each both ways round.
+# row's scan: a bool copy of the table and a distance per row.
 _JOIN_CELL_BYTES = 8
 _JOIN_FLOOR_BYTES = 4 << 20
 
@@ -440,24 +439,34 @@ _JOIN_RADIUS = 3
 
 class _LengthMinima(NamedTuple):
     """The oracle's ``minVM`` of every row of one bit-length's table and
-    its nearest set as CSR: row ``i``'s ascending nearest watermarks are
-    ``nearest[offsets[i]:offsets[i + 1]]``.  With the join's work: pairs
-    whose distance it computed, each row with each of its single-bit
-    flips once, ``(n - 1) 2^(n-2)`` pairs; and rows that had no
-    neighbour within the radius and were scanned in full."""
+    its nearest set.  Bit ``j`` of ``flips[i]`` is set when row ``i ^
+    2^j`` is nearest to row ``i``; a far row, one with no flip within the
+    radius, has mask 0 and its ascending nearest rows in ``far[i]``.
+    ``nearest_count`` (``int64``) and ``nearest_of`` read both.  With the
+    join's work: pairs whose distance it computed, each row with each of
+    its single-bit flips once, ``(n - 1) 2^(n-2)`` pairs; and the far
+    rows, which were scanned in full."""
 
     minvm: "np.ndarray"
-    offsets: "np.ndarray"
-    nearest: "np.ndarray"
+    flips: "np.ndarray"
+    far: dict[int, "np.ndarray"]
     pairs_verified: int
     full_scans: int
 
     @property
     def nearest_count(self) -> "np.ndarray":
-        return self.offsets[1:] - self.offsets[:-1]
+        import numpy as np
+
+        count = np.bitwise_count(self.flips).astype(np.int64)
+        count[list(self.far)] = [len(nearest) for nearest in self.far.values()]
+        return count
 
     def nearest_of(self, row: int) -> tuple[int, ...]:
-        return tuple(self.nearest[self.offsets[row] : self.offsets[row + 1]].tolist())
+        lo = len(self.flips)  # 2^(n-1), the least watermark of the length
+        if row in self.far:
+            return tuple((self.far[row] + lo).tolist())
+        mask, w = int(self.flips[row]), lo + row
+        return tuple(sorted(w ^ 1 << j for j in range(mask.bit_length()) if mask >> j & 1))
 
 
 def _minima_by_row(n: int) -> _LengthMinima:
@@ -473,9 +482,11 @@ def _minima_by_row(n: int) -> _LengthMinima:
     (:func:`_scan_row`).  For bit ``j``, ``rows.reshape(-1, 2, 2^j,
     width)`` puts each row whose bit ``j`` is 0 beside its flip, so both
     sides are views of the table: no gather and no sort, and each pair is
-    compared once, ``(n - 1) 2^(n-2)`` pairs in all.  Each row's minimum
-    is taken over its pairs within the radius in one pass, and one sort
-    by (row, neighbour) builds the CSR.
+    compared once, ``(n - 1) 2^(n-2)`` pairs in all.  Each row keeps a
+    running minimum over its flips and a mask of the flips at it; a row
+    whose minimum stays above the radius is far, and its scan replaces
+    its mask.  By the lemma, the flips at a near row's least distance are
+    its whole nearest set.
 
     Notation as in :func:`_domination_maps` (``B'``, ``m``, ``s``,
     ``pi``, ``k`` ones in ``b`` and ``a`` the first 0-position after
@@ -541,30 +552,21 @@ def _minima_by_row(n: int) -> _LengthMinima:
 
     rows = _encoded_range(n)
     count, width = rows.shape
-    a, b, d = [], [], []
+    minvm = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
+    flips = np.zeros(count, dtype=np.min_scalar_type(1 << (n - 2)))
     for j in range(n - 1):
         pairs = rows.reshape(-1, 2, 1 << j, width)
-        dist = np.count_nonzero(pairs[:, 0] != pairs[:, 1], axis=2).ravel()
-        near = np.flatnonzero(dist <= _JOIN_RADIUS)
-        low = near >> j << (j + 1) | near & ((1 << j) - 1)  # the row whose bit j is 0
-        a.append(low)
-        b.append(low | 1 << j)
-        d.append(dist[near].astype(np.uint8))
-    a, b, d = np.concatenate(a + b), np.concatenate(b + a), np.concatenate(d + d)
-    minvm = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
-    np.minimum.at(minvm, a, d)
-    minimal = d == minvm[a]
-    a, b = [a[minimal]], [b[minimal]]
+        dist = np.count_nonzero(pairs[:, 0] != pairs[:, 1], axis=2).astype(np.uint8)[:, None]
+        least, mask = minvm.reshape(-1, 2, 1 << j), flips.reshape(-1, 2, 1 << j)
+        np.copyto(mask, 0, where=dist < least)
+        mask |= np.left_shift(dist <= least, j, dtype=flips.dtype)
+        np.minimum(least, dist, out=least)
     scanned = np.flatnonzero(minvm > _JOIN_RADIUS)  # no flip within the radius
+    far = {}
     for idx in scanned.tolist():
-        minvm[idx], nearest = _scan_row(rows, idx)
-        a.append(np.full(len(nearest), idx))
-        b.append(nearest)
-    a, b = np.concatenate(a), np.concatenate(b)
-    by_row = np.lexsort((b, a))
-    offsets = np.searchsorted(a[by_row], np.arange(count + 1))
-    nearest = b[by_row] + (1 << (n - 1))
-    return _LengthMinima(minvm, offsets, nearest, (n - 1) * count // 2, len(scanned))
+        minvm[idx], far[idx] = _scan_row(rows, idx)
+    flips[scanned] = 0
+    return _LengthMinima(minvm, flips, far, (n - 1) * count // 2, len(scanned))
 
 
 def strong_watermark_of(n: int) -> int:

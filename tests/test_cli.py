@@ -185,9 +185,10 @@ def table_was_allocated(n, idx):
     pytest.fail(f"the {n}-bit table was allocated")
 
 
-def into_a_missing_directory(*argv):
-    """``argv``, a sweep whose ``--out`` lies in a directory that does not
-    exist: refused before the sweep joins any table."""
+def with_an_unopenable_out(*argv):
+    """``argv``, a sweep whose ``--out`` cannot be opened, such as an empty
+    path or one in a directory that does not exist: refused before the
+    sweep joins any table."""
 
     def run(workdir, monkeypatch):
         monkeypatch.setattr(resilience, "_minima_by_row", table_was_joined)
@@ -238,11 +239,17 @@ ANALYZE_2_39 = (
          (0, ANALYZE_2_39, "")),
         (without_a_memory_figure(lambda: resilience.survey_range(50, cap=50)),
          ResourceBoundError),
-        (into_a_missing_directory(
+        (with_an_unopenable_out(
             "verify-theorem", "--bits-min", "4", "--bits-max", "5", "--out", "missing/rows.csv"),
          (3, "", r"error: \[Errno 2\] [^\n]*'missing/rows\.csv'\n")),
-        (into_a_missing_directory("survey", "--bits", "4", "--out", "missing/t.csv"),
+        (with_an_unopenable_out("survey", "--bits", "4", "--out", "missing/t.csv"),
          (3, "", r"error: \[Errno 2\] [^\n]*'missing/t\.csv'\n")),
+        (with_an_unopenable_out(
+            "verify-theorem", "--bits-min", "4", "--bits-max", "5", "--out", ""),
+         (3, "", r"error: \[Errno 2\] No such file or directory: ''\n")),
+        # an empty path names the working directory, as for encode --out ""
+        (lambda *_: main(["encode", "27", "--dot", ""]),
+         (3, "", r"error: \[Errno 21\] Is a directory: '\.'\n")),
         (lambda *_: resilience.survey_range(10**5, cap=10**5), ResourceBoundError),
         (lambda *_: resilience.verify_theorem(4, 10**5, cap=10**5), ResourceBoundError),
         (lambda *_: resilience.minvm_oracle(1 << 20000, cap=20001), ResourceBoundError),
@@ -252,6 +259,7 @@ ANALYZE_2_39 = (
          "unallocatable-survey", "unallocatable-analyze", "analyze-without-a-table",
          "unallocatable-survey-range",
          "verify-theorem-out-in-a-missing-directory", "survey-out-in-a-missing-directory",
+         "verify-theorem-empty-out", "encode-empty-dot",
          "huge-survey", "huge-verify-theorem", "huge-oracle"],
 )
 def test_rarely_reached_branches(workdir, capsys, monkeypatch, call, outcome):

@@ -69,7 +69,7 @@ EDITS = st.one_of(
     st.lists(st.tuples(integers(40), integers(40)).map(":".join), max_size=3).map(",".join),
     st.text(max_size=20),
 )
-PATHS = st.sampled_from(["out.json", "missing/out.json", ".", "graph.json"])
+PATHS = st.sampled_from(["out.json", "missing/out.json", ".", "graph.json", ""])
 FILES = st.sampled_from(["graph.json", "missing.json", "."])
 FORMATS = st.sampled_from(["csv", "json"]) | WORDS
 

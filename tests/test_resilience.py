@@ -189,6 +189,16 @@ def test_watermarks_two_or_three_bits_apart_are_at_least_4_apart():
                 assert np.count_nonzero(rows != rows[idx ^ mask], axis=1).min() >= 4, (n, mask)
 
 
+def test_far_rows_have_their_nearest_within_two_bits():
+    # a pinned observation, not a proved rule that the library may use: the
+    # nearest watermarks of a row with no flip within 3 differ from it in at
+    # most two bits, and at every n the farthest of them in exactly two
+    for n in range(3, 17):
+        far = resilience._minima_by_row(n).far
+        bits = [(row ^ other).bit_count() for row, rows in far.items() for other in rows.tolist()]
+        assert max(bits) == 2, n
+
+
 def test_the_witness_check_holds_less_than_a_table_above_the_sweep():
     sweep = resilience._sweep_length(16)
     tracemalloc.start()
@@ -269,6 +279,19 @@ def test_join_memory_estimate_covers_the_join():
         assert peak <= resilience._join_bytes(n), n
 
 
+def test_the_join_holds_less_than_two_tables():
+    # the flip masks take one integer per row, so what the join holds above
+    # its table is mostly one far row's scan
+    resilience._encoded_range(16)  # the table is counted on its own
+    tracemalloc.start()
+    try:
+        resilience._minima_by_row(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * resilience._table_bytes(16)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify-theorem", "--bits-min", "4", "--bits-max", "16"], ["survey", "--bits", "16"]],
@@ -301,7 +324,9 @@ def test_sweeps_count_the_join_before_any_work(monkeypatch, capsys, argv):
 # The join's work, (pairs_verified, full_scans) for n = 2..16, where each
 # row is compared once with each of its single-bit flips, and one sha256
 # over its minvm, offsets and nearest arrays, as the join first computed
-# them (one np.unique key per group and column).
+# them (one np.unique key per group and column).  The join keeps nearest
+# sets as flip masks and far rows, so the test rebuilds those compressed
+# rows from nearest_count and nearest_of.
 JOIN_WORK = (
     (1, 0), (4, 2), (12, 6), (32, 8), (80, 10), (192, 12), (448, 14), (1024, 16),
     (2304, 18), (5120, 20), (11264, 22), (24576, 24), (53248, 26), (114688, 28),
@@ -315,7 +340,10 @@ def test_join_work_and_result_are_pinned():
     for n, work in zip(range(2, 17), JOIN_WORK):
         minima = resilience._minima_by_row(n)
         assert (minima.pairs_verified, minima.full_scans) == work, n
-        arrays = (minima.minvm, minima.offsets, minima.nearest)
+        count = minima.nearest_count
+        offsets = np.concatenate(([0], np.cumsum(count)))
+        nearest = np.array([w for row in range(len(count)) for w in minima.nearest_of(row)])
+        arrays = (minima.minvm, offsets, nearest)
         for array, dtype in zip(arrays, ("<u1", "<i8", "<i8")):
             assert array.dtype == np.dtype(dtype), n
             digest.update(array.tobytes())
@@ -372,7 +400,7 @@ JOIN_WORK_TO_20 = {
 
 @pytest.mark.slow
 def test_the_join_is_pinned_to_20_bits():
-    # 4-5 s on 2 vCPUs, with a 21 MB table and a 47 MB join peak at n = 20;
+    # 5-6 s on 2 vCPUs, with a 21 MB table and a 29 MB join peak at n = 20;
     # run with `pytest -m slow`
     join_digest = load_join_digest()
     for n, (pairs, scans, sha) in JOIN_WORK_TO_20.items():

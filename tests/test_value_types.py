@@ -204,7 +204,7 @@ def test_sweep_records_keep_their_fields():
         "n", "minima", "shape_id", "shapes", "representatives", "agreement"
     )
     assert type(sweep.minima).__match_args__ == (
-        "minvm", "offsets", "nearest", "pairs_verified", "full_scans"
+        "minvm", "flips", "far", "pairs_verified", "full_scans"
     )
     for record in (sweep, sweep.minima):
         fields = type(record).__match_args__

@@ -5,15 +5,18 @@ For each ``n`` in ``N_MIN..N_MAX`` this builds the ``n``-bit table, times
 
     n pairs_verified full_scans seconds sha256 peak_bytes
 
-The sha256 covers the dtype and the bytes of ``minvm``, ``offsets`` and
-``nearest``, in that order, so two trees whose lines agree on it return
-the same join result.  ``peak_bytes`` is the tracemalloc peak of a
-second join, run after the timed one so that the seconds are not
-traced; the table, built before either, is not in it.  Each join is
-first checked against the memory budget the sweeps use
-(``_require_fits(n, _join_bytes)``).  The package is imported from the
-``src`` directory next to this script, so a copy of the script in
-another checkout measures that checkout.
+The sha256 covers the dtype and the bytes of three arrays, in this
+order: ``minvm``; ``offsets``, 0 followed by the cumulative sum of
+``nearest_count``; and ``nearest``, every row's ``nearest_of`` tuple
+concatenated.  Those are the join's result in the compressed-row form
+it once returned, so the digests of earlier trees still apply, and two
+trees whose lines agree on it return the same join result.
+``peak_bytes`` is the tracemalloc peak of a second join, run after the
+timed one so that the seconds are not traced; the table, built before
+either, is not in it.  Each join is first checked against the memory
+budget the sweeps use (``_require_fits(n, _join_bytes)``).  The package
+is imported from the ``src`` directory next to this script, so a copy
+of the script in another checkout measures that checkout.
 
 Usage: ``python tools/join_digest.py [N_MIN] [N_MAX]``, defaults 2 and 16.
 """
@@ -26,13 +29,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 from wrpg import resilience  # noqa: E402
 
 
 def digest(minima: resilience._LengthMinima) -> str:
     """sha256 over the dtype and bytes of each result array."""
+    count = minima.nearest_count
+    offsets = np.concatenate(([0], np.cumsum(count)))
+    nearest = np.array([w for row in range(len(count)) for w in minima.nearest_of(row)])
     sha = hashlib.sha256()
-    for array in (minima.minvm, minima.offsets, minima.nearest):
+    for array in (minima.minvm, offsets, nearest):
         sha.update(array.dtype.str.encode("ascii"))
         sha.update(array.tobytes())
     return sha.hexdigest()
