@@ -117,7 +117,8 @@ REPORT_COLUMNS = (
 
 # Per table format: how a value is written, one row in REPORT_COLUMNS
 # order, the text between rows, and the text before and after them.
-# A shape fills in every column but _ROW_FIELDS, which become "%s".
+# A shape and an agreement fill in every column but _ROW_FIELDS, which
+# become "%d".
 _FORMATS = {
     "csv": (
         _cell,
@@ -135,77 +136,98 @@ _FORMATS = {
         "\n]\n",
     ),
 }
-_ROW_FIELDS = ("w", "minvm_oracle", "agree", "nearest_count")
+_ROW_FIELDS = ("w", "minvm_oracle", "nearest_count")
+_TABLE_CHUNK = 1 << 12  # rows per chunk of a table's text
 
 
 def _table(sweeps, table_format: str):
-    """The rows of every watermark of ``sweeps`` as CSV or JSON text, a
-    chunk per bit-length, straight from the arrays: each distinct shape
-    fills in its columns once, from the report of the row that
-    represents it, and each row only its own.  The bytes are those of
-    one record per report, ``REPORT_COLUMNS`` to its values, written by
-    ``csv.writer`` or ``json.dumps(..., indent=2)``."""
+    """The rows of every watermark of ``sweeps`` as CSV or JSON text,
+    ``_TABLE_CHUNK`` rows per chunk, straight from the arrays.  Each
+    distinct shape and agreement fills in a template once, from the
+    report of the row that represents the shape, and one ``%`` over a
+    chunk's templates writes each row's own cells.  The bytes are those
+    of one record per report, ``REPORT_COLUMNS`` to its values, written
+    by ``csv.writer`` or ``json.dumps(..., indent=2)``."""
+    import numpy as np
+
     cell, row, between, head, foot = _FORMATS[table_format]
-    agree_cell = {value: cell(value) for value in (None, True, False)}
     yield head
-    for i, sweep in enumerate(sweeps):
-        shape_rows = []
+    sep = ""
+    for sweep in sweeps:
+        agrees = (None,) if sweep.agreement is None else (False, True)
+        templates = []
         for report in map(sweep.report, sweep.representatives.tolist()):
             shape = report.shape
-            shape_rows.append(row.format(
-                n=sweep.n, shape_case=cell(shape.case), ell=cell(shape.ell), r=cell(shape.r),
-                b_n=cell(shape.last_bit), minvm_closed=cell(report.minvm_closed),
-                strength=cell(report.strength), **dict.fromkeys(_ROW_FIELDS, "%s"),
-            ))
+            templates += [
+                row.format(
+                    n=sweep.n, shape_case=cell(shape.case), ell=cell(shape.ell),
+                    r=cell(shape.r), b_n=cell(shape.last_bit),
+                    minvm_closed=cell(report.minvm_closed), agree=cell(agree),
+                    strength=cell(report.strength), **dict.fromkeys(_ROW_FIELDS, "%d"),
+                )
+                for agree in agrees
+            ]
         lo, minima = 1 << (sweep.n - 1), sweep.minima
-        agree = [None] * lo if sweep.agreement is None else sweep.agreement.tolist()
-        rows = [
-            shape_rows[s] % (w, oracle, agree_cell[a], count)
-            for w, s, oracle, a, count in zip(
-                range(lo, 2 * lo),
-                sweep.shape_id.tolist(),
-                minima.minvm.tolist(),
-                agree,
-                minima.nearest_count.tolist(),
-            )
-        ]
-        yield (between if i else "") + between.join(rows)
+        key = sweep.shape_id.astype(np.intp) * len(agrees)
+        if sweep.agreement is not None:
+            key += sweep.agreement
+        cells = np.stack((np.arange(lo, 2 * lo), minima.minvm, minima.nearest_count), axis=1)
+        for start in range(0, lo, _TABLE_CHUNK):
+            part = slice(start, start + _TABLE_CHUNK)
+            text = between.join([templates[k] for k in key[part].tolist()])
+            yield sep + text % tuple(cells[part].ravel().tolist())
+            sep = between
     yield foot
+
+
+@contextmanager
+def _outputs(*paths: str):
+    """A function ``write(path, chunks)`` that writes text chunks to one
+    of ``paths``.  Every path is opened for appending first, so that an
+    unwritable one is refused before any is written, and each file is
+    truncated only when it is written.  When the work fails, or a later
+    path cannot be opened, each file that this created is removed again,
+    and a file that was there before keeps its bytes."""
+    created = []
+
+    def write(path: str, chunks) -> None:
+        with open(path, "w", encoding="utf-8") as file:
+            file.writelines(chunks)
+
+    try:
+        for path in paths:
+            new = not os.path.lexists(path)
+            open(path, "a", encoding="utf-8").close()
+            if new:
+                created.append(path)
+        yield write
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 @contextmanager
 def _table_out(out: str | None):
     """A function that writes a sweep's table, given as text chunks, to
-    stdout or to the file ``out``.  The file is opened for appending
-    before the sweep, so that an unwritable path is refused before any
-    work, and truncated only when the table is written, after the sweep
-    has succeeded.  When the sweep fails, a file it created is removed
-    again, and a file that was there before keeps its bytes."""
+    stdout or, through :func:`_outputs`, to the file ``out``, which is
+    opened before the sweep and written after it has succeeded."""
     if out is None:
         yield sys.stdout.writelines
         return
-    created = not os.path.lexists(out)
-    open(out, "a", encoding="utf-8").close()
-
-    def write(chunks) -> None:
-        with open(out, "w", encoding="utf-8") as file:
-            file.writelines(chunks)
-
-    try:
-        yield write
-    except BaseException:
-        if created:
-            os.remove(out)
-        raise
+    with _outputs(out) as write:
+        yield lambda chunks: write(out, chunks)
 
 
 def _cmd_encode(args) -> int:
     permutation, _ = encode_w_to_sip(args.w)
     graph = encode_sip_to_rpg(permutation)
     out_path = args.out if args.out is not None else f"f{args.w}.json"
-    save_graph(graph, out_path)
-    if args.dot is not None:
-        Path(args.dot).write_text(graph_to_dot(graph), encoding="ascii")
+    dot = () if args.dot is None else (args.dot,)
+    with _outputs(out_path, *dot) as write:
+        save_graph(graph, out_path)
+        for path in dot:
+            write(path, [graph_to_dot(graph)])
     if args.show_sip:
         print(permutation.one_line())
     return EXIT_OK

@@ -16,11 +16,17 @@ bit-lengths are unreachable).  Three routes to it live here:
 ``verify_theorem`` and ``survey_range`` need the oracle for every
 watermark of a bit-length at once; they get it from one exact join per
 bit-length (:func:`_minima_by_row`) instead of one full row scan per
-watermark.  Two codewords within the join's radius differ in exactly one
-bit, as proved there, so the join compares each row with its ``n - 1``
-single-bit flips, each bit a strided view of the table.
-``minvm_oracle`` stays the brute-force single-row scan and is the test
-reference for the join and for ``analyze_watermark``.  That
+watermark.  The table the join reads (:func:`_encoded_range`) is stored
+by column, one contiguous run of cells per column, and built straight
+from the bits by the rules proved in :func:`_domination_maps`: a running
+minimum over the bits gives the columns after ``n``, and one pass over
+the bits, counting ones, the columns up to ``n``.  Two codewords within
+the join's radius differ in exactly one bit, as proved in the join, so
+it compares each row with its ``n - 1`` single-bit flips, each bit the
+two halves of a view of the columns, and sums the distances over the
+columns.  ``minvm_oracle`` stays the brute-force single-row scan, a
+column at a time, and is the test reference for the join and for
+``analyze_watermark``.  That
 gets one watermark's oracle from an exact search over its bits
 (:func:`_nearest_by_search`): the distance measured to ``w``'s nearest
 witness rewrite bounds it from above, and a lower bound read from the
@@ -36,7 +42,7 @@ and the rows of each shape in the CLI's tables, which write every
 other cell straight from the arrays.  The witness check applies each
 flip of the Case1 shape to its rows, ``_BUILD_CHUNK`` table rows at a
 time, and measures every witness of the other shapes, one row each, in
-one more array comparison.
+one more array comparison; each compares two gathers of the columns.
 
 Each watermark is classified (:func:`~wrpg.sip.bit_shape`) once, by a
 public entry point: ``analyze_watermark`` classifies ``w`` and a sweep
@@ -170,17 +176,18 @@ def _physical_memory_bytes() -> int | None:
 
 # The table is built _BUILD_CHUNK rows at a time.  While a chunk is
 # built, its working arrays hold at most _BUILD_CELL_BYTES bytes per
-# cell of the chunk (tracemalloc peaks of 10-12 bytes per cell for
-# n = 12..20, where chunks are at least 2^11 rows).
+# cell of the chunk (tracemalloc peaks of 8.6-8.8 bytes per cell for
+# n = 16..20, where chunks are 2^12 rows).
 _BUILD_CHUNK = 1 << 12
 _BUILD_CELL_BYTES = 32
 
 # A join's working arrays hold at most _JOIN_CELL_BYTES bytes per cell
 # of its table plus _JOIN_FLOOR_BYTES.  The tracemalloc peaks of
-# _minima_by_row, with its table built beforehand, are 1.3-1.4 bytes per
-# cell for n = 16..20: 1.5, 6.7 and 28.7 MB at n = 16, 18 and 20,
-# against budgets of 12.8, 43.0 and 176.2 MB.  Most of it is one far
-# row's scan: a bool copy of the table and a distance per row.
+# _minima_by_row, with its table built beforehand, are 0.8-0.9 bytes per
+# cell for n = 16..20: 0.9, 4.3 and 18.6 MB at n = 16, 18 and 20,
+# against budgets of 12.8, 43.0 and 176.2 MB.  Most of it is one bit's
+# comparison, a bool per cell of half the table, or a group of far rows'
+# scan, at most as large.
 _JOIN_CELL_BYTES = 8
 _JOIN_FLOOR_BYTES = 4 << 20
 
@@ -229,11 +236,14 @@ def _encoded_range(n: int) -> "np.ndarray":
     Row ``w - 2^(n-1)`` holds the domination map of ``w``'s codeword,
     ``dmax_map(encode_w_to_sip(w)[0].elements)``, built by
     :func:`_domination_maps` a chunk of rows at a time.  The table is
-    ``uint8``: its values are at most ``2n + 2``, which fits at every
-    bit-length whose table could be allocated.  Only the latest table
-    is kept: a miss releases the held one before it builds.  Raises
-    :class:`ResourceBoundError` before allocating when the table and
-    one chunk's working arrays would not fit in physical memory, and
+    stored by column: the rows are the read-only transpose of a
+    C-contiguous ``(2n + 1, 2^(n-1))`` array, so ``_encoded_range(n).T``
+    gives each column as one contiguous run of ``2^(n-1)`` cells.  The
+    table is ``uint8``: its values are at most ``2n + 2``, which fits at
+    every bit-length whose table could be allocated.  Only the latest
+    table is kept: a miss releases the held one before it builds.
+    Raises :class:`ResourceBoundError` before allocating when the table
+    and one chunk's working arrays would not fit in physical memory, and
     when the allocator refuses the table.
     """
     import numpy as np
@@ -241,77 +251,125 @@ def _encoded_range(n: int) -> "np.ndarray":
     _encoded_range.cache_clear()
     _require_fits(n, _build_bytes)
     try:
-        rows = np.empty((1 << (n - 1), 2 * n + 1), dtype=np.uint8)
+        cols = np.empty((2 * n + 1, 1 << (n - 1)), dtype=np.uint8)
     except MemoryError:
         raise ResourceBoundError(f"the {n}-bit table could not be allocated") from None
-    for start in range(0, len(rows), _BUILD_CHUNK):
-        stop = min(start + _BUILD_CHUNK, len(rows))
-        rows[start:stop] = _domination_maps(n, np.arange(start, stop))
-    rows.setflags(write=False)
-    return rows
+    count = cols.shape[1]
+    for start in range(0, count, _BUILD_CHUNK):
+        stop = min(start + _BUILD_CHUNK, count)
+        cols[:, start:stop] = _domination_maps(n, np.arange(start, stop)).T
+    cols.setflags(write=False)
+    return cols.T
 
 
 def _domination_maps(n: int, idx: "np.ndarray") -> "np.ndarray":
     """Domination maps of the codewords of ``2^(n-1) + idx``, one
     ``uint8`` row each: :func:`encode_w_to_sip` and :func:`dmax_map`
-    for all of them at once.
+    for all of them at once, built a column at a time from the bits by
+    the rules below.
 
     Positions are 1-based, ``m = 2n + 1`` and ``s = m + 1``.  The
-    codeword ``pi`` of ``B' = 0^n || b || 0`` comes from an argsort:
-    the key ``p`` at a 0-position and ``2m - p`` at a 1-position sorts
-    into ``pi_b = X || reverse(Y)``, and pairing the two ends of
-    ``pi_b`` sets ``pi[pi_b] = reverse(pi_b)``.  Entry ``e`` of the
-    map, the target of element ``e``, then follows from the
-    0-positions of ``B'``:
+    codeword ``pi`` of ``B' = 0^n || b || 0`` pairs the two ends of
+    ``pi_b = X || reverse(Y)``, ``X`` the 0-positions and ``Y`` the
+    1-positions of ``B'``, each ascending.  Let ``k`` be the number of
+    ones of ``b`` and ``a`` the first 0-position after ``n``.  Entry
+    ``e`` of the map, the target of element ``e``, is:
 
-    * a 1-position ``e`` targets ``s`` (so bit ``j`` of ``b`` is 1
-      exactly when element ``n + j`` targets ``s``);
-    * a 0-position ``e > n`` targets the next 0-position of ``B'``, or
-      ``s`` when ``e = m``;
-    * ``e <= n`` targets ``pi(q)``, where ``q`` is the latest 0-position
-      before ``pi(e)``; since positions ``1..n`` are all 0, ``q >= n``.
+    (R1) ``s`` at a 1-position ``e`` (so column ``n + j`` is ``s``
+    exactly when ``b_j = 1``); at a 0-position ``e > n``, the next
+    0-position of ``B'`` after ``e``, or ``s`` when ``e = m``.
 
-    Proof.  Let ``k`` be the number of ones and ``a`` the first
-    0-position after ``n``, the fixed point of ``pi``.  Then
-    ``pi(1..n)`` lists the 1-positions ascending, then the 0-positions
-    above ``a`` descending; every other position after ``n`` holds a
-    value ``<= n``.  So a 1-position is preceded only by smaller
-    values.  A 0-position above ``a`` directly follows the next larger
-    0-position; the largest, ``m``, follows only 1-positions.  ``a`` is
-    preceded, back to position ``n``, only by values ``<= n``, and
-    ``pi(n)`` is the next 0-position after ``a``; when ``b`` has no 0,
-    ``a = m`` and every earlier value is smaller.  Take ``e <= n``.
-    Every position strictly between ``q`` and ``pi(e)`` is a
-    1-position, and it holds a rank below ``e``.  And ``pi(q) > e``:
-    ``pi(n)`` and ``a`` both exceed ``n``, and a 0-position above ``a``
-    holds ``k`` plus its rank from the top, which exceeds ``k`` and is
-    ``e + 1`` when ``e > k``.
+    (R2) for ``e <= k``, with ``Z`` the number of zeros of ``b`` before
+    its ``e``-th one: ``n + 2 - Z`` if ``Z >= 2``, ``a`` if ``Z = 1``,
+    and the second 0-position after ``n`` if ``Z = 0`` (``2n`` when
+    ``b`` has no 0).  For ``k < e < n`` it is ``e + 1``, and entry ``n``
+    is ``a`` when ``k < n``.
 
-    So the maps need one running maximum (the latest 0-position) and
-    one running minimum (the next 0-position) over the positions, and
-    two gathers for ``pi(q)``.
+    Proof.  ``a`` is the fixed point of ``pi``, and ``pi(1..n)`` lists
+    the 1-positions ascending, then the 0-positions above ``a``
+    descending; every other position after ``n`` holds a value ``<= n``.
+    So a 1-position is preceded only by smaller values.  A 0-position
+    above ``a`` directly follows the next larger 0-position; the
+    largest, ``m``, follows only 1-positions.  ``a`` is preceded, back
+    to position ``n``, only by values ``<= n``, and ``pi(n)`` is the
+    next 0-position after ``a``, or the last 1-position ``2n`` when
+    ``k = n``.  That is (R1).  Take ``e <= n``: it targets ``pi(q)``,
+    ``q`` the latest 0-position before ``pi(e)`` (``q >= n``, as
+    positions ``1..n`` are all 0).  Every position strictly between
+    ``q`` and ``pi(e)`` is a 1-position, and it holds a rank below
+    ``e``.  And ``pi(q) > e``: ``pi(n)`` and ``a`` both exceed ``n``,
+    and a 0-position above ``a`` holds ``k`` plus its rank from the
+    top, which exceeds ``k`` and is ``e + 1`` when ``e > k``.  There are
+    ``n - k + 1`` 0-positions after ``n``, and the ``Z``-th of them, for
+    ``Z >= 2``, lies above ``a`` with rank ``n - k + 2 - Z`` from the
+    top, so it holds ``n + 2 - Z``.  For ``e <= k``, ``pi(e)`` is the
+    ``e``-th 1-position, so ``q`` is the ``Z``-th 0-position after
+    ``n``, or ``n`` itself when ``Z = 0``.  For ``e > k``, ``pi(e)`` is
+    the 0-position of rank ``e - k`` from the top, so ``q`` is the one
+    of rank ``e - k + 1``, which holds ``e + 1`` when ``e < n`` and is
+    ``a`` when ``e = n``.  That is (R2).
+
+    Bound.  Let two watermarks ``w`` and ``w'`` differ in ``h`` bits,
+    have ``k <= k'`` ones, and let their rows differ in ``d`` columns.
+    Then ``d >= h + k' - k``.  By (R1), columns ``n+2..2n`` differ in at
+    least ``h`` places (``b_1`` is always 1).  By (R2), columns ``1..n``
+    differ in at least ``k' - k``.  For ``e <= k``, column ``e`` is
+    never ``e + 1``: it is ``n + 2 - Z >= e + 2``, since ``Z <= n - k <=
+    n - e``, or it exceeds ``n + 1``, since ``b_1 = 1`` puts ``a`` above
+    ``n + 1``.  So columns ``k + 1 .. min(k', n - 1)`` are ``e + 1`` in
+    ``w`` only, which is ``k' - k`` columns when ``k' < n``.  When ``k'
+    = n > k``, ``w'`` has no 0, so its columns ``1..n`` are all ``2n``,
+    and one more column differs.  If ``w``'s first zero is not ``b_n``,
+    column ``n`` is ``a < 2n`` in ``w``.  If it is, ``w`` is ``1^(n-1)
+    0``, and column 1, outside ``k + 1 .. n - 1`` as ``k = n - 1``, is
+    ``m`` in ``w``, the second 0-position after ``n``.
+
+    The maps follow the rules: one running minimum over the bits, from
+    ``b_n`` down, gives the next 0-position, and so columns ``n+1..m``
+    and ``a``; column ``a``'s entry is the second 0-position after
+    ``n``.  Columns ``1..n`` take one pass over the bits, from ``b_1``,
+    with a ones counter: each bit writes one cell per row, a one its
+    entry ``n + 2 - Z`` at the column it ranks, a zero ``e + 1`` at the
+    column of the next one, which that one overwrites.  Entry ``n`` and
+    the entries with ``Z <= 1`` are set last.
     """
     import numpy as np
 
     m, s, size = 2 * n + 1, 2 * n + 2, len(idx)
-    at = np.arange(1, m + 1, dtype=np.min_scalar_type(2 * m))  # 1-based positions
-    ones = np.zeros((size, m), dtype=bool)
-    ones[:, n] = True  # b_1
-    ones[:, n + 1 : 2 * n] = (idx[:, None] >> np.arange(n - 2, -1, -1)) & 1
-    pi_b = np.argsort(np.where(ones, 2 * m - at, at), axis=1).astype(at.dtype)
-    perm = np.empty((size, m), dtype=np.uint8)
-    np.put_along_axis(perm, pi_b, (pi_b[:, ::-1] + 1).astype(np.uint8), axis=1)
-    zero_at = ~ones * at  # each 0-position, and 0 at the 1-positions
-    s_at_ones = ones * np.uint8(s)
-    # the latest 0-position at or before each position; for e = n+1..m-1,
-    # the next 0-position after e
-    latest_zero = np.maximum.accumulate(zero_at, axis=1)
-    next_zero = np.minimum.accumulate((zero_at + s_at_ones)[:, :n:-1], axis=1)[:, ::-1]
-    maps = np.full((size, m), s, dtype=np.uint8)
-    q = np.take_along_axis(latest_zero, perm[:, :n] - 2, axis=1)  # before pi(e), e <= n
-    maps[:, :n] = np.take_along_axis(perm, q - 1, axis=1)
-    maps[:, n : m - 1] = np.maximum(s_at_ones[:, n : m - 1], next_zero)
-    return maps
+    maps = np.empty((m, size), dtype=np.uint8)  # row e - 1 is column e
+    bits = (idx >> np.arange(n - 1, -1, -1)[:, None]).astype(np.uint8) & np.uint8(1)
+    bits[0] = 1  # row j is b_(j+1), at position n + j + 1
+    ones_at = bits * np.uint8(s)
+    zero_at = np.maximum(ones_at, np.arange(n + 1, m, dtype=np.uint8)[:, None])  # s at a 1
+    nxt = np.full(size, m, dtype=np.uint8)  # the next 0-position after bit j's
+    for j in range(n - 1, 0, -1):
+        np.maximum(ones_at[j], nxt, out=maps[n + j])
+        np.minimum(nxt, zero_at[j], out=nxt)
+    a = nxt
+    maps[n] = maps[m - 1] = s
+    at = np.arange(size)
+    second = maps[a - 1, at]
+    second[second == s] = 2 * n  # b has no 0
+    # bit j, after `rank` ones, writes column rank + 1: a 1 its entry
+    # n + 2 - Z = rank + n + 2 - j, a 0 the entry rank + 2 of k < e < n
+    maps[: n - 1] = np.arange(2, n + 1, dtype=np.uint8)[:, None]
+    cell = maps.reshape(-1)
+    target = at.copy()
+    rank = np.zeros(size, dtype=np.uint8)
+    written = bits * np.arange(n, 0, -1, dtype=np.uint8)[:, None] + np.uint8(2)
+    step = bits * np.intp(size)
+    for j in range(n):
+        cell[target] = rank + written[j]
+        target += step[j]
+        rank += bits[j]
+    np.minimum(a, 2 * n, out=maps[n - 1])  # a when k < n; 2n, then raised to second
+    # Z = 1 up to column second - n - 2 and Z = 0 up to column a - n - 1
+    # (every column when b has no 0, and then second < a); both entries
+    # exceed n + 2 - Z, so a maximum sets them
+    e, first = np.arange(1, n + 1, dtype=np.uint8)[:, None], maps[:n]
+    np.maximum(first, (e + np.uint8(n + 2) <= second) * np.minimum(a, second), out=first)
+    np.maximum(first, (e + np.uint8(n + 1) <= a) * second, out=first)
+    return maps.T
 
 
 def _require_within_cap(n: int, cap: int) -> None:
@@ -340,25 +398,37 @@ def _row(w: int) -> tuple[int, ...]:
     return dmax_map(encode_w_to_sip(w)[0])
 
 
-def _scan_row(rows: "np.ndarray", idx: int) -> tuple[int, "np.ndarray"]:
-    """Minimum distance from row ``idx`` to every other row, with the
-    ascending indices of the rows that attain it."""
+def _scan_rows(cols: "np.ndarray", idx: "np.ndarray") -> list[tuple[int, "np.ndarray"]]:
+    """For each row of ``idx``, in order, its minimum distance to every
+    other row of the table ``cols``, stored by column, with the
+    ascending indices of the rows that attain it.  The rows are scanned
+    a group at a time: each column's comparison with the group's values
+    is added into one ``uint8`` distance per row and table row, so the
+    distances and one comparison take at most half a table."""
     import numpy as np
 
-    diffs = (rows != rows[idx]).sum(axis=1)
-    diffs[idx] = np.iinfo(diffs.dtype).max  # never pick the row itself
-    best = int(diffs.min())
-    return best, np.flatnonzero(diffs == best)
+    width, count = cols.shape
+    group = max(1, width // 4)
+    found = []
+    for start in range(0, len(idx), group):
+        rows = np.asarray(idx[start : start + group])
+        dist = np.zeros((len(rows), count), dtype=np.uint8)
+        for column in cols:
+            dist += column != column[rows, None]
+        dist[np.arange(len(rows)), rows] = np.iinfo(dist.dtype).max  # never the row itself
+        for row_dist, best in zip(dist, dist.min(axis=1).tolist()):
+            found.append((best, np.flatnonzero(row_dist == best)))
+    return found
 
 
 def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
     """Brute-force minimum distance from ``w`` to any other same-length
     watermark, with the full ascending list of minimizers: the rows
-    :func:`_scan_row` finds, each plus ``2^(n-1)``."""
+    :func:`_scan_rows` finds, each plus ``2^(n-1)``."""
     n = require_watermark(w)
     _require_within_cap(n, cap)
     lo = 1 << (n - 1)
-    best, nearest = _scan_row(_encoded_range(n), w - lo)
+    [(best, nearest)] = _scan_rows(_encoded_range(n).T, [w - lo])
     return best, tuple(lo + i for i in nearest.tolist())
 
 
@@ -477,56 +547,29 @@ def _minima_by_row(n: int) -> _LengthMinima:
     every pair within ``_JOIN_RADIUS``, because two codewords whose
     watermarks differ in two or more bits are at least 4 apart (the
     lemma below).  So a row whose minimum lies within the radius gets it,
-    and its whole nearest set, from its ``n - 1`` flips; a row with no
-    flip within the radius is measured against every row
-    (:func:`_scan_row`).  For bit ``j``, ``rows.reshape(-1, 2, 2^j,
-    width)`` puts each row whose bit ``j`` is 0 beside its flip, so both
-    sides are views of the table: no gather and no sort, and each pair is
-    compared once, ``(n - 1) 2^(n-2)`` pairs in all.  Each row keeps a
-    running minimum over its flips and a mask of the flips at it; a row
-    whose minimum stays above the radius is far, and its scan replaces
-    its mask.  By the lemma, the flips at a near row's least distance are
-    its whole nearest set.
+    and its whole nearest set, from its ``n - 1`` flips; the rows with no
+    flip within the radius are measured against every row, together
+    (:func:`_scan_rows`).  For bit ``j``, ``cols.reshape(width, -1, 2,
+    2^j)`` puts each row whose bit ``j`` is 0 beside its flip in every
+    column, so both halves are views of the table stored by column: no
+    gather and no sort, and each pair is compared once, ``(n - 1)
+    2^(n-2)`` pairs in all, its distance summed over the columns.  Each
+    row keeps a running minimum over its flips and a mask of the flips at
+    it; a row whose minimum stays above the radius is far, and its scan
+    replaces its mask.  By the lemma, the flips at a near row's least
+    distance are its whole nearest set.
 
-    Notation as in :func:`_domination_maps` (``B'``, ``m``, ``s``,
-    ``pi``, ``k`` ones in ``b`` and ``a`` the first 0-position after
-    ``n``); ``h`` is the number of bits in which two watermarks differ,
-    and ``d`` the number of columns in which their rows differ.
+    Notation, rules (R1) and (R2), and the bound ``d >= h + |k' - k|``
+    as in :func:`_domination_maps`: ``h`` is the number of bits in which
+    two watermarks differ, ``k`` and ``k'`` their numbers of ones, and
+    ``d`` the number of columns in which their rows differ.
 
-    (R1) Column ``n + j`` is ``s`` exactly when ``b_j = 1``; so columns
-    ``n+2..2n`` differ in at least ``h`` places (``b_1`` is always 1).
+    Lemma: ``h >= 2`` implies ``d >= 4``.
 
-    (R2) Columns ``1..n`` follow from the bits.  For ``e <= k``, let
-    ``Z`` count the zeros of ``b`` before its ``e``-th one: column ``e``
-    is ``n + 2 - Z`` if ``Z >= 2``, ``a`` if ``Z = 1``, and the second
-    0-position after ``n`` if ``Z = 0`` (``2n`` when ``b`` has no 0).
-    For ``k < e < n`` it is ``e + 1``, and column ``n`` is ``a`` when
-    ``k < n``.  Proof: column ``e`` is ``pi(q)``, ``q`` the latest
-    0-position before ``pi(e)``.  There are ``n - k + 1`` 0-positions
-    after ``n``; the ``Z``-th of them, for ``Z >= 2``, lies above ``a``
-    with rank ``n - k + 2 - Z`` from the top, so it holds ``n + 2 - Z``.
-    For ``e <= k``, ``pi(e)`` is the ``e``-th 1-position, so ``q`` is the
-    ``Z``-th 0-position after ``n``, or ``n`` itself when ``Z = 0``;
-    ``pi(a) = a``, and ``pi(n)`` is the next 0-position after ``a``, or
-    the last 1-position ``2n`` when ``k = n``.  For ``e > k``, ``pi(e)``
-    is the 0-position of rank ``e - k`` from the top, so ``q`` is the one
-    of rank ``e - k + 1``, which holds ``e + 1`` when ``e < n`` and is
-    ``a`` when ``e = n``.
-
-    Lemma: ``h >= 2`` implies ``d >= 4``.  Let ``w`` and ``w'`` have ``k
-    <= k'`` ones.
-
-    1. For ``e <= k``, column ``e`` is never ``e + 1``: it is ``n + 2 -
-       Z >= e + 2``, since ``Z <= n - k <= n - e``, or it exceeds ``n +
-       1``.  So columns ``k + 1 .. min(k', n - 1)`` are ``e + 1`` in
-       ``w`` only.  If ``k' = n``, ``w``'s zeros are the ``h >= 2`` bits
-       that differ, so its column ``n``, ``a``, lies below ``2n``, which
-       is column ``n`` of ``w'``.  So columns ``1..n`` differ in at least
-       ``k' - k`` places, and with (R1) ``d >= h + k' - k``.  That
-       settles ``h >= 4``, ``h = 3`` (``k' - k`` has the parity of ``h``)
-       and ``h = 2`` with ``k' != k``.
-    2. Left: ``h = 2`` and ``k = k'``, so the bits differ at ``j1 < j2``,
-       and ``w`` is now the one with ``b_j1 = 1``, ``b_j2 = 0``.  Besides
+    1. The bound settles ``h >= 4``, ``h = 3`` (``k' - k`` has the
+       parity of ``h``) and ``h = 2`` with ``k' != k``.
+    2. Left: ``h = 2`` and ``k = k'``, so the bits differ at ``j1 < j2``;
+       let ``w`` be the one with ``b_j1 = 1``, ``b_j2 = 0``.  Besides
        columns ``n + j1`` and ``n + j2``, two more differ:
 
        (A) When ``b`` has a 0 before bit ``j1``, at ``n + i`` for the
@@ -550,21 +593,21 @@ def _minima_by_row(n: int) -> _LengthMinima:
     """
     import numpy as np
 
-    rows = _encoded_range(n)
-    count, width = rows.shape
+    cols = _encoded_range(n).T
+    width, count = cols.shape
     minvm = np.full(count, _JOIN_RADIUS + 1, dtype=np.uint8)
     flips = np.zeros(count, dtype=np.min_scalar_type(1 << (n - 2)))
     for j in range(n - 1):
-        pairs = rows.reshape(-1, 2, 1 << j, width)
-        dist = np.count_nonzero(pairs[:, 0] != pairs[:, 1], axis=2).astype(np.uint8)[:, None]
+        pairs = cols.reshape(width, -1, 2, 1 << j)
+        dist = (pairs[:, :, 0] != pairs[:, :, 1]).sum(axis=0, dtype=np.uint8)[:, None]
         least, mask = minvm.reshape(-1, 2, 1 << j), flips.reshape(-1, 2, 1 << j)
         np.copyto(mask, 0, where=dist < least)
         mask |= np.left_shift(dist <= least, j, dtype=flips.dtype)
         np.minimum(least, dist, out=least)
     scanned = np.flatnonzero(minvm > _JOIN_RADIUS)  # no flip within the radius
     far = {}
-    for idx in scanned.tolist():
-        minvm[idx], far[idx] = _scan_row(rows, idx)
+    for row, (best, nearest) in zip(scanned.tolist(), _scan_rows(cols, scanned)):
+        minvm[row], far[row] = best, nearest
     flips[scanned] = 0
     return _LengthMinima(minvm, flips, far, (n - 1) * count // 2, len(scanned))
 
@@ -750,10 +793,10 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
     :func:`_shape_ids`), so each of its flips is measured on its rows
     ``_BUILD_CHUNK`` rows of the table at a time; every other shape's one
     row is its representative, and the witnesses of all those rows are
-    measured in one comparison."""
+    measured in one comparison (:func:`_pair_distances`)."""
     import numpy as np
 
-    n, rows = sweep.n, _encoded_range(sweep.n)
+    n, cols = sweep.n, _encoded_range(sweep.n).T
     case1 = sweep.shape_id == 0
     failures = []  # (row, rule index, flip, rule, cost, measured or None if it leaves)
     single = []  # (row, rule index, flip, rule, cost) of every one-row shape
@@ -766,13 +809,13 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
             elif s:
                 single.append((row, k, flip, rule, cost))
             else:
-                for start in range(0, len(rows), _BUILD_CHUNK):
+                for start in range(0, cols.shape[1], _BUILD_CHUNK):
                     part = start + np.flatnonzero(case1[start : start + _BUILD_CHUNK])
-                    measured = np.count_nonzero(rows[part] != rows[part ^ flip], axis=1)
+                    measured = _pair_distances(cols, part, part ^ flip)
                     for i in np.flatnonzero(measured != cost)[:1].tolist():
                         failures.append((int(part[i]), k, flip, rule, cost, int(measured[i])))
     at = np.array([(row, flip) for row, _, flip, _, _ in single], dtype=np.int64).reshape(-1, 2)
-    measured = np.count_nonzero(rows[at[:, 0]] != rows[at[:, 0] ^ at[:, 1]], axis=1).tolist()
+    measured = _pair_distances(cols, at[:, 0], at[:, 0] ^ at[:, 1]).tolist()
     failures += [
         (row, k, flip, rule, cost, d)
         for (row, k, flip, rule, cost), d in zip(single, measured)
@@ -785,6 +828,15 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
         if measured is not None:
             problem = f"predicted cost {cost} but measures {measured}"
         raise InternalInvariantError(f"witness {w ^ flip} of w={w} ({rule}) {problem}")
+
+
+def _pair_distances(cols: "np.ndarray", a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
+    """The distance between rows ``a[i]`` and ``b[i]`` of the table
+    ``cols``, stored by column, for each ``i``: two gathers of the
+    columns, compared."""
+    import numpy as np
+
+    return (cols.take(a, axis=1) != cols.take(b, axis=1)).sum(axis=0, dtype=np.uint8)
 
 
 def _survey(n: int, cap: int) -> _LengthSweep:

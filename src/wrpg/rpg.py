@@ -310,7 +310,9 @@ def graph_from_json(text: str) -> ReduciblePermutationGraph:
 
 
 def save_graph(g: ReduciblePermutationGraph, path: str | Path) -> None:
-    Path(path).write_text(graph_to_json(g), encoding="ascii")
+    text = graph_to_json(g)  # a graph the reader rejects is refused before the file opens
+    with open(path, "w", encoding="ascii") as file:
+        file.write(text)
 
 
 def load_graph(path: str | Path) -> ReduciblePermutationGraph:

@@ -59,6 +59,26 @@ def test_encode_dot_export(workdir):
     assert "u4 -> s [style=dashed];" in dot
 
 
+@pytest.mark.parametrize("dot", ["", "missing/f27.dot"])
+def test_encode_writes_no_file_when_an_output_cannot_be_opened(workdir, capsys, dot):
+    assert main(["encode", "27", "--dot", dot]) == 3
+    assert not (workdir / "f27.json").exists()
+    (workdir / "f27.json").write_text("earlier")
+    assert main(["encode", "27", "--dot", dot]) == 3
+    assert (workdir / "f27.json").read_text() == "earlier"
+    assert capsys.readouterr().err.count(f"'{dot}'") == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["encode", "27", "--out", ""], ["attack", "f27.json", "--out", ""]],
+    ids=["encode", "attack"],
+)
+def test_an_empty_out_is_named_as_given(workdir, capsys, argv):
+    main(["encode", "27"])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_decode_valid_file(workdir, capsys):
     main(["encode", "12"])
     assert main(["decode", "f12.json"]) == 0
@@ -247,9 +267,9 @@ ANALYZE_2_39 = (
         (with_an_unopenable_out(
             "verify-theorem", "--bits-min", "4", "--bits-max", "5", "--out", ""),
          (3, "", r"error: \[Errno 2\] No such file or directory: ''\n")),
-        # an empty path names the working directory, as for encode --out ""
+        # an empty path is named as given, as for the sweeps' --out ""
         (lambda *_: main(["encode", "27", "--dot", ""]),
-         (3, "", r"error: \[Errno 21\] Is a directory: '\.'\n")),
+         (3, "", r"error: \[Errno 2\] No such file or directory: ''\n")),
         (lambda *_: resilience.survey_range(10**5, cap=10**5), ResourceBoundError),
         (lambda *_: resilience.verify_theorem(4, 10**5, cap=10**5), ResourceBoundError),
         (lambda *_: resilience.minvm_oracle(1 << 20000, cap=20001), ResourceBoundError),

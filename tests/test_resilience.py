@@ -189,6 +189,18 @@ def test_watermarks_two_or_three_bits_apart_are_at_least_4_apart():
                 assert np.count_nonzero(rows != rows[idx ^ mask], axis=1).min() >= 4, (n, mask)
 
 
+def test_rows_differ_in_at_least_the_bits_plus_the_change_in_ones():
+    # the bound d >= h + |k' - k| proved in _domination_maps, on every pair;
+    # no library code relies on it
+    for n in range(2, 11):
+        rows = resilience._encoded_range(n)
+        idx = np.arange(len(rows))
+        ones = np.bitwise_count(idx).astype(np.int64)
+        for mask in range(1, len(rows)):
+            d = np.count_nonzero(rows != rows[idx ^ mask], axis=1)
+            assert np.all(d >= mask.bit_count() + abs(ones - ones[idx ^ mask])), (n, mask)
+
+
 def test_far_rows_have_their_nearest_within_two_bits():
     # a pinned observation, not a proved rule that the library may use: the
     # nearest watermarks of a row with no flip within 3 differ from it in at
@@ -208,6 +220,39 @@ def test_the_witness_check_holds_less_than_a_table_above_the_sweep():
     finally:
         tracemalloc.stop()
     assert peak < resilience._table_bytes(16)
+
+
+def test_the_table_is_stored_by_column():
+    for n in (2, 9, 16):
+        cols = resilience._encoded_range(n).T
+        assert cols.shape == (2 * n + 1, 1 << (n - 1))
+        assert cols.flags.c_contiguous, n
+        assert not cols.flags.writeable, n
+
+
+def test_the_join_holds_less_than_one_table_above_its_table():
+    resilience._encoded_range(16)  # the table is counted on its own
+    tracemalloc.start()
+    try:
+        resilience._minima_by_row(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < resilience._table_bytes(16)
+
+
+def test_the_oracle_scan_holds_less_than_half_a_table():
+    # a row of two internal zeros and the strong watermark, which the join
+    # scans as a far row
+    resilience._encoded_range(16)  # the table is counted on its own
+    for w in (1 << 15, resilience.strong_watermark_of(16)):
+        tracemalloc.start()
+        try:
+            minvm_oracle(w, cap=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < resilience._table_bytes(16) // 2, w
 
 
 def test_table_memory_estimate_counts_the_working_arrays(monkeypatch):
@@ -373,7 +418,7 @@ def test_the_gate_tools_agree_with_the_library():
     # tools/code_lines.py measures the package's size
     join_digest = load_join_digest()
     lines = run_tool("join_digest.py", "2", "12")
-    assert [len(cells) for cells in lines] == [6] * 11
+    assert [len(cells) for cells in lines] == [7] * 11
     assert [int(cells[0]) for cells in lines] == list(range(2, 13))
     assert [(int(cells[1]), int(cells[2])) for cells in lines] == list(JOIN_WORK[:11])
     for n, cells in zip(range(2, 13), lines):
