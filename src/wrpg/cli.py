@@ -185,9 +185,11 @@ def _outputs(*paths: str):
     """A function ``write(path, chunks)`` that writes text chunks to one
     of ``paths``.  Every path is opened for appending first, so that an
     unwritable one is refused before any is written, and each file is
-    truncated only when it is written.  When the work fails, or a later
-    path cannot be opened, each file that this created is removed again,
-    and a file that was there before keeps its bytes."""
+    truncated only when it is written.  Two paths that name one file are
+    refused once both are open, as the later write would replace the
+    earlier.  When the work fails, or a later path cannot be opened or
+    is refused, each file that this created is removed again, and a file
+    that was there before keeps its bytes."""
     created = []
 
     def write(path: str, chunks) -> None:
@@ -195,11 +197,14 @@ def _outputs(*paths: str):
             file.writelines(chunks)
 
     try:
-        for path in paths:
+        for i, path in enumerate(paths):
             new = not os.path.lexists(path)
             open(path, "a", encoding="utf-8").close()
             if new:
                 created.append(path)
+            for other in paths[:i]:
+                if os.path.samefile(other, path):
+                    raise ValueError(f"'{other}' and '{path}' are one file")
         yield write
     except BaseException:
         for path in created:

@@ -26,14 +26,14 @@ it compares each row with its ``n - 1`` single-bit flips, each bit the
 two halves of a view of the columns, and sums the distances over the
 columns.  ``minvm_oracle`` stays the brute-force single-row scan, a
 column at a time, and is the test reference for the join and for
-``analyze_watermark``.  That
-gets one watermark's oracle from an exact search over its bits
-(:func:`_nearest_by_search`): the distance measured to ``w``'s nearest
-witness rewrite bounds it from above, and a lower bound read from the
-columns that the bits alone fix prunes every codeword beyond that.  It
-builds a few codewords instead of the whole table, and falls back to
-the row scan only when the bounds leave more than ``_SEARCH_ROWS`` of
-them.  A sweep keeps each bit-length as the arrays it measured: the
+``analyze_watermark``.  That gets one watermark's oracle from an exact
+search over its bits (:func:`_nearest_by_search`): the distance measured
+to ``w``'s nearest witness rewrite bounds it from above, and the bound
+``d >= h + |k' - k|`` proved in :func:`_domination_maps` leaves only the
+codewords of a ball of bit flips around ``w`` (:func:`_ball`) within
+that.  It builds those instead of the whole table, and falls back to the
+row scan only when the ball holds more than ``_SEARCH_ROWS`` of them.  A
+sweep keeps each bit-length as the arrays it measured: the
 oracle per row, and the shape, once per distinct shape, with the closed
 form evaluated there only to fill in the per-row agreement.  The one
 builder of ``ResilienceReport``, :func:`_report`, gives every closed
@@ -65,6 +65,8 @@ that build and search the table: the codec commands never load it, and
 import os
 from collections.abc import Callable
 from functools import cached_property, lru_cache
+from itertools import combinations
+from math import comb
 from operator import ne
 from typing import NamedTuple
 
@@ -432,42 +434,34 @@ def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
     return best, tuple(lo + i for i in nearest.tolist())
 
 
-# The bounded search builds at most this many codewords besides ``w``'s
-# witnesses (about 20 us each at 14 bits); analyze scans the table for a
-# watermark that needs more.
+# The bounded search builds at most this many codewords of its ball
+# besides ``w`` (about 20 us each at 14 bits); analyze scans the table
+# for a watermark whose ball holds more.
 _SEARCH_ROWS = 1024
 
 
-def _survivors(target: tuple[int, ...], n: int, budget: int) -> list[int] | None:
-    """Every watermark of bit-length ``n`` whose domination map differs
-    from ``target`` in at most ``budget`` of the columns ``n+2..2n``,
-    ``target``'s own watermark included; or None as soon as more than
-    ``_SEARCH_ROWS`` others are found.
+def _ball(w: int, n: int, budget: int) -> list[int] | None:
+    """Every watermark of bit-length ``n`` whose row can lie within
+    ``budget`` of ``w``'s, ``w`` included; or None, before any is
+    listed, when there are more than ``_SEARCH_ROWS`` others.
 
-    By the rule proved in :func:`_domination_maps`, element ``n + j``
-    targets ``s`` when ``b_j = 1`` and otherwise the next 0-position of
-    ``B'`` after ``n + j`` (``m`` when there is none).  So walking the
-    bits from ``b_n`` down to ``b_2`` fixes one column per bit, and a
-    prefix whose columns already differ in more than ``budget`` places
-    is dropped with everything below it.  (Columns ``n + 1`` and ``m``
-    target ``s`` in every codeword.)"""
-    s = 2 * n + 2
-    found = []
-    # (bit j to choose, next 0-position, bits chosen, columns still allowed to differ)
-    stack = [(n, 2 * n + 1, 1 << (n - 1), budget)]
-    while stack:
-        j, z, v, left = stack.pop()
-        if j == 1:
-            if len(found) > _SEARCH_ROWS:  # so at least _SEARCH_ROWS + 1 besides w
-                return None
-            found.append(v)
-            continue
-        column = target[n + j - 1]
-        if column == s or left:
-            stack.append((j - 1, z, v | 1 << (n - j), left - (column != s)))
-        if column == z or left:
-            stack.append((j - 1, n + j, v, left - (column != z)))
-    return found
+    A watermark that turns ``a`` of ``w``'s ones below ``b_1`` into
+    zeros and ``z`` of its zeros into ones differs from it in ``h = a +
+    z`` bits and ``|k' - k| = |z - a|`` ones, so by the bound ``d >= h +
+    |k' - k|`` proved in :func:`_domination_maps` its row is at least
+    ``2 max(a, z)`` from ``w``'s.  So the ball is every ``w ^ A ^ Z``,
+    ``A`` at most ``budget // 2`` of those ones and ``Z`` at most
+    ``budget // 2`` of the zeros; and, within ``_JOIN_RADIUS``, only
+    ``h <= 1``, by the lemma proved in :func:`_minima_by_row`."""
+    most = budget // 2
+    ones, zeros = ([1 << i for i in range(n - 1) if (w >> i & 1) == bit] for bit in (1, 0))
+    sizes = [(a, z) for a in range(most + 1) for z in range(most + 1)
+             if a + z <= 1 or budget > _JOIN_RADIUS]
+    if sum(comb(len(ones), a) * comb(len(zeros), z) for a, z in sizes) - 1 > _SEARCH_ROWS:
+        return None
+    down, up = ([[sum(c) for c in combinations(g, k)] for k in range(most + 1)]
+                for g in (ones, zeros))
+    return [w ^ x ^ y for a, z in sizes for x in down[a] for y in up[z]]
 
 
 def _nearest_by_search(
@@ -480,21 +474,22 @@ def _nearest_by_search(
     ``w``'s witness rewrites (:func:`_witness_flips`, and always the
     flip of ``b_n``) are codewords, so the least distance measured to
     them, ``U``, bounds the minimum from above, whatever the closed form
-    says.  The columns ``n+2..2n`` of a codeword depend only on its bits
-    (see :func:`_survivors`), so the number of them in which another
-    codeword differs from ``w``'s is a lower bound on its distance: every
-    codeword within ``U`` is among the survivors of budget ``U``.  Those
-    are built by the codec and measured, the witnesses not again, so the
-    least distance measured is the minimum and the codewords measured at
-    it are the whole nearest set.  The closed form is never used.
+    says or the witnesses hold: a flip that is not positive or reaches
+    ``b_1`` is no rewrite, and is skipped.  By the bound ``d >= h + |k'
+    - k|`` proved in :func:`_domination_maps`, every codeword within
+    ``U`` is in the bit ball of radius ``U`` (:func:`_ball`).  Its
+    codewords are built by the codec and measured, the witnesses not
+    again, so the least distance measured is the minimum and the
+    codewords measured at it are the whole nearest set.  The closed form
+    is never used.
     """
     target = _row(w)
-    flips = {1, *(flip for flip, _, _ in _witness_flips(shape) if flip < 1 << (n - 1))}
+    flips = {1, *(flip for flip, _, _ in _witness_flips(shape) if 0 < flip < 1 << (n - 1))}
     distances = {w ^ flip: sum(map(ne, _row(w ^ flip), target)) for flip in flips}
-    survivors = _survivors(target, n, min(distances.values()))
-    if survivors is None:
+    ball = _ball(w, n, min(distances.values()))
+    if ball is None:
         return None
-    for v in survivors:
+    for v in ball:
         if v != w and v not in distances:
             distances[v] = sum(map(ne, _row(v), target))
     best = min(distances.values())
@@ -690,16 +685,18 @@ def analyze_watermark(w: int, cap: int = DEFAULT_CAP) -> ResilienceReport:
     The oracle's ``(minVM, nearest)`` comes from the bounded search
     (:func:`_nearest_by_search`), which needs neither numpy nor the
     table.  The distance measured to ``w``'s nearest witness rewrite,
-    ``U``, is its budget.  Columns ``n+2..2n`` of a codeword are fixed by
-    its bits alone, so another codeword is at least as far from ``w``'s
-    as the number of those columns in which the two differ, and a search
-    over the bits from ``b_n`` down drops every prefix that already
-    differs in more than ``U`` places.  Every codeword within ``U`` is
-    built and measured, which makes the minimum and the nearest set
-    exact.  When the search finds more than ``_SEARCH_ROWS`` codewords
-    to build, it stops, and the oracle scans ``w``'s row of the table
-    instead.  The cap and the table's memory budget are checked before
-    any work, whichever path runs.
+    ``U``, is its budget.  A codeword whose watermark turns ``a`` of
+    ``w``'s ones into zeros and ``z`` of its zeros into ones is at least
+    ``2 max(a, z)`` from ``w``'s, by the bound ``d >= h + |k' - k|``
+    proved in :func:`_domination_maps`.  So every codeword within ``U``
+    lies in the ball of those flips with ``2 max(a, z) <= U``, cut to
+    the single flips when ``U`` is within the join's radius
+    (:func:`_ball`), and is built and measured, which makes the minimum
+    and the nearest set exact.  When the ball holds more than
+    ``_SEARCH_ROWS`` codewords besides ``w``, counted before any is
+    built, the oracle scans ``w``'s row of the table instead.  The cap
+    and the table's memory budget are checked before any work, whichever
+    path runs.
     """
     n = require_watermark(w)
     _require_within_cap(n, cap)

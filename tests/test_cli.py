@@ -69,6 +69,16 @@ def test_encode_writes_no_file_when_an_output_cannot_be_opened(workdir, capsys, 
     assert capsys.readouterr().err.count(f"'{dot}'") == 2
 
 
+@pytest.mark.parametrize("dot", ["same.json", "./same.json"])
+def test_encode_refuses_a_dot_file_that_is_its_graph_file(workdir, capsys, dot):
+    assert main(["encode", "12", "--out", "same.json", "--dot", dot]) == 3
+    assert capsys.readouterr().err == f"error: 'same.json' and '{dot}' are one file\n"
+    assert not (workdir / "same.json").exists()
+    (workdir / "same.json").write_text("earlier")
+    assert main(["encode", "12", "--out", "same.json", "--dot", dot]) == 3
+    assert (workdir / "same.json").read_text() == "earlier"
+
+
 @pytest.mark.parametrize(
     "argv", [["encode", "27", "--out", ""], ["attack", "f27.json", "--out", ""]],
     ids=["encode", "attack"],

@@ -5,19 +5,16 @@ re-measured through the codec at bit-lengths no table reaches."""
 import random
 
 import pytest
+import reference_search
 
 import wrpg.resilience as resilience
 from wrpg.resilience import analyze_watermark, minvm_oracle, strong_watermark_of
-from wrpg.rpg import dmax_map, encode_sip_to_rpg, graph_distance
+from wrpg.rpg import encode_sip_to_rpg, graph_distance
 from wrpg.sip import CASE_TWO_ZEROS, bit_shape, encode_w_to_sip
 
 
 def graph_of(w: int):
     return encode_sip_to_rpg(encode_w_to_sip(w)[0])
-
-
-def row_of(w: int) -> tuple[int, ...]:
-    return dmax_map(encode_w_to_sip(w)[0])
 
 
 def oracle_of(report) -> tuple[int, tuple[int, ...]]:
@@ -75,8 +72,8 @@ def fallbacks(monkeypatch, rows_built):
 # which answered built besides w itself, and how many watermarks fell
 # back to the table instead.  A looser search bound would build more.
 SEARCH_WORK = {
-    2: (2, 0), 3: (12, 0), 4: (56, 0), 5: (210, 0), 6: (654, 0), 7: (1798, 0),
-    8: (4553, 0), 9: (10904, 0), 10: (25160, 0), 11: (56559, 0), 12: (107226, 11),
+    2: (2, 0), 3: (12, 0), 4: (47, 0), 5: (139, 0), 6: (338, 0), 7: (754, 0),
+    8: (1625, 0), 9: (3391, 0), 10: (6936, 0), 11: (14316, 0), 12: (29867, 0),
 }
 
 
@@ -113,37 +110,79 @@ def test_the_table_path_gives_the_same_reports(monkeypatch):
     assert resilience._encoded_range.cache_info().currsize == 1  # the table was scanned
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 16, 24, 32])
-def test_the_survivor_count_equals_the_enumeration(n, monkeypatch):
-    """The enumeration stops exactly when it holds more than
-    ``_SEARCH_ROWS`` codewords besides w, and is otherwise whole."""
+def ball_sample(n: int) -> list[int]:
     lo = 1 << (n - 1)
-    ws = range(lo, 2 * lo) if n <= 8 else random.Random(n).sample(range(lo, 2 * lo), 8)
-    for w in ws:
-        target = row_of(w)
+    return list(range(lo, 2 * lo)) if n <= 8 else random.Random(n).sample(range(lo, 2 * lo), 8)
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_the_survivor_count_equals_the_enumeration(n, monkeypatch):
+    """The ball's entries are distinct and include w, and it is None
+    exactly when it holds more than ``_SEARCH_ROWS`` codewords besides
+    w: its count, taken before it is listed, equals its listing."""
+    for w in ball_sample(n):
         for budget in range(1, 5):
             monkeypatch.setattr(resilience, "_SEARCH_ROWS", 1 << 62)
-            every = resilience._survivors(target, n, budget)
+            every = resilience._ball(w, n, budget)
             assert w in every and len(set(every)) == len(every)
             for limit in (0, 1, 7, 50):
                 monkeypatch.setattr(resilience, "_SEARCH_ROWS", limit)
-                capped = resilience._survivors(target, n, budget)
+                capped = resilience._ball(w, n, budget)
                 if len(every) - 1 > limit:
                     assert capped is None, (w, budget, limit)
                 else:
                     assert capped == every, (w, budget, limit)
 
 
-@pytest.mark.parametrize("n", [5, 8, 11])
-def test_the_survivors_are_every_codeword_within_the_suffix_bound(n):
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 11])
+def test_the_survivors_are_every_watermark_within_the_bit_bound(n, monkeypatch):
+    """The ball is every v with ``h + |k' - k| <= budget``, and within
+    the join's radius only the v with ``h <= 1``."""
+    monkeypatch.setattr(resilience, "_SEARCH_ROWS", 1 << 62)
     lo = 1 << (n - 1)
-    for w in random.Random(n).sample(range(lo, 2 * lo), 4):
-        target = row_of(w)
-        suffix = {v: sum(a != b for a, b in zip(row_of(v)[n:], target[n:]))
-                  for v in range(lo, 2 * lo)}
-        for budget in range(1, 5):
-            within = sorted(v for v, d in suffix.items() if d <= budget)
-            assert sorted(resilience._survivors(target, n, budget)) == within
+    for w in ball_sample(n):
+        k = w.bit_count()
+        bound = {v: ((v ^ w).bit_count(), abs(v.bit_count() - k)) for v in range(lo, 2 * lo)}
+        for budget in range(1, 9):
+            within = sorted(
+                v for v, (h, dk) in bound.items()
+                if h + dk <= budget and (h <= 1 or budget > resilience._JOIN_RADIUS)
+            )
+            assert sorted(resilience._ball(w, n, budget)) == within, (w, budget)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_the_ball_search_equals_the_suffix_column_search(n):
+    """Wherever both answer, the search over the bit ball gives the
+    suffix-column search's ``(minVM, nearest)``, and it gives up on no
+    watermark that the suffix-column search answers.  Every watermark up
+    to 12 bits, and every one with fewer than two internal zeros at 13
+    and 14 (a weak one never gives up)."""
+    lo = 1 << (n - 1)
+    given_up, given_up_before = set(), set()
+    for w in range(lo, 2 * lo):
+        shape = bit_shape(w)
+        if n > 12 and shape.case == CASE_TWO_ZEROS:
+            continue
+        found = resilience._nearest_by_search(w, n, shape)
+        before = reference_search.nearest_by_search(w, n, shape)
+        if found is None:
+            given_up.add(w)
+        if before is None:
+            given_up_before.add(w)
+        elif found is not None:
+            assert found == before, w
+    assert given_up <= given_up_before
+
+
+@pytest.mark.parametrize("flip", [0, -5])
+def test_a_flip_that_is_no_rewrite_does_not_seed_the_search(monkeypatch, flip):
+    """The search is exact whatever the witnesses hold: a flip of 0 would
+    measure w against itself, and a negative one leaves the watermarks."""
+    monkeypatch.setattr(resilience, "_witness_flips", lambda shape: [(flip, 3, "swap")])
+    assert oracle_of(analyze_watermark(45)) == minvm_oracle(45) == (3, (44,))
+    for w in (45, 0b110111, 0b111111):  # Case1, Case2, Case3
+        assert oracle_of(analyze_watermark(w)) == minvm_oracle(w), w
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -178,15 +217,20 @@ def test_weak_watermarks_stay_within_the_search_budget(rows_built, no_table):
 
 def test_the_strong_watermark_exceeds_the_search_budget_and_scans_the_table(rows_built):
     w = strong_watermark_of(14)
-    target = row_of(w)
     report = analyze_watermark(w)
     assert resilience._encoded_range.cache_info().currsize == 1  # the table was built
     assert oracle_of(report) == minvm_oracle(w) == (9, (w - 1,))
     assert len(rows_built) - 1 <= 14
-    assert resilience._survivors(target, 14, report.minvm_oracle) is None
+    assert resilience._ball(w, 14, report.minvm_oracle) is None
 
 
-@pytest.mark.parametrize("n, count", [(12, 11), (13, 17), (14, 21)])
+FALLBACKS = {
+    13: {8062, 8063, 8126, 8127, 8159},
+    14: {16126, 16127, 16254, 16255, 16318, 16319, 16351},
+}
+
+
+@pytest.mark.parametrize("n, count", [(13, 5), (14, 7)])
 def test_a_fallback_builds_no_more_than_the_witnesses(n, count, rows_built, fallbacks):
     """A watermark that falls back builds at most n codewords besides
     itself before the table scan: its witnesses, not a search it drops.
@@ -196,7 +240,7 @@ def test_a_fallback_builds_no_more_than_the_witnesses(n, count, rows_built, fall
         if bit_shape(w).case != CASE_TWO_ZEROS:
             rows_built.clear()
             analyze_watermark(w)
-    assert len(fallbacks) == count
-    assert strong_watermark_of(n) in dict(fallbacks)
+    assert len(fallbacks) == count and set(dict(fallbacks)) == FALLBACKS[n]
+    assert strong_watermark_of(n) in FALLBACKS[n]
     for w, built in fallbacks:
         assert built - 1 <= n, w
