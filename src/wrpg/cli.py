@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import InternalInvariantError
@@ -181,18 +181,23 @@ def _table(sweeps, table_format: str):
 
 
 @contextmanager
-def _outputs(*paths: str):
+def _outputs(*paths: str | None):
     """A function ``write(path, chunks)`` that writes text chunks to one
-    of ``paths``.  Every path is opened for appending first, so that an
+    of ``paths``, or to stdout when ``path`` is None.  A None path is
+    skipped; every other path is opened for appending first, so that an
     unwritable one is refused before any is written, and each file is
     truncated only when it is written.  Two paths that name one file are
     refused once both are open, as the later write would replace the
     earlier.  When the work fails, or a later path cannot be opened or
     is refused, each file that this created is removed again, and a file
     that was there before keeps its bytes."""
+    paths = [path for path in paths if path is not None]
     created = []
 
-    def write(path: str, chunks) -> None:
+    def write(path: str | None, chunks) -> None:
+        if path is None:
+            sys.stdout.writelines(chunks)
+            return
         with open(path, "w", encoding="utf-8") as file:
             file.writelines(chunks)
 
@@ -212,27 +217,14 @@ def _outputs(*paths: str):
         raise
 
 
-@contextmanager
-def _table_out(out: str | None):
-    """A function that writes a sweep's table, given as text chunks, to
-    stdout or, through :func:`_outputs`, to the file ``out``, which is
-    opened before the sweep and written after it has succeeded."""
-    if out is None:
-        yield sys.stdout.writelines
-        return
-    with _outputs(out) as write:
-        yield lambda chunks: write(out, chunks)
-
-
 def _cmd_encode(args) -> int:
     permutation, _ = encode_w_to_sip(args.w)
     graph = encode_sip_to_rpg(permutation)
     out_path = args.out if args.out is not None else f"f{args.w}.json"
-    dot = () if args.dot is None else (args.dot,)
-    with _outputs(out_path, *dot) as write:
+    with _outputs(out_path, args.dot) as write:
         save_graph(graph, out_path)
-        for path in dot:
-            write(path, [graph_to_dot(graph)])
+        if args.dot is not None:
+            write(args.dot, [graph_to_dot(graph)])
     if args.show_sip:
         print(permutation.one_line())
     return EXIT_OK
@@ -297,16 +289,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    with _table_out(args.out) as write:
-        write(_table([_survey(args.bits, args.cap_override)], args.format))
+    with _outputs(args.out) as write:
+        write(args.out, _table([_survey(args.bits, args.cap_override)], args.format))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    with _table_out(args.out) if args.out is not None else nullcontext() as write:
+    with _outputs(args.out) as write:
         result = verify_theorem(args.bits_min, args.bits_max, cap=args.cap_override)
-        if write is not None:
-            write(_table(result._sweeps, args.format))
+        if args.out is not None:
+            write(args.out, _table(result._sweeps, args.format))
     for s in result.summaries:
         print(
             f"n={s.n} watermarks={s.count} max_minvm={s.max_minvm} "

@@ -24,11 +24,14 @@ the bits, counting ones, the columns up to ``n``.  Two codewords within
 the join's radius differ in exactly one bit, as proved in the join, so
 it compares each row with its ``n - 1`` single-bit flips, each bit the
 two halves of a view of the columns, and sums the distances over the
-columns.  ``minvm_oracle`` stays the brute-force single-row scan, a
-column at a time, and is the test reference for the join and for
-``analyze_watermark``.  That gets one watermark's oracle from an exact
-search over its bits (:func:`_nearest_by_search`): the distance measured
-to ``w``'s nearest witness rewrite bounds it from above, and the bound
+columns.  The few rows with no flip within the radius get the one
+brute-force scan (:func:`_scan_row`): one row against every row, a
+column at a time, each column's comparison added into one ``uint8``
+distance per row.  ``minvm_oracle`` is that scan alone, and the test
+reference for the join and for ``analyze_watermark``.  That gets one
+watermark's oracle from an exact search over its bits
+(:func:`_nearest_by_search`): the distance measured to ``w``'s nearest
+witness rewrite bounds it from above, and the bound
 ``d >= h + |k' - k|`` proved in :func:`_domination_maps` leaves only the
 codewords of a ball of bit flips around ``w`` (:func:`_ball`) within
 that.  It builds those instead of the whole table, and falls back to the
@@ -185,11 +188,11 @@ _BUILD_CELL_BYTES = 32
 
 # A join's working arrays hold at most _JOIN_CELL_BYTES bytes per cell
 # of its table plus _JOIN_FLOOR_BYTES.  The tracemalloc peaks of
-# _minima_by_row, with its table built beforehand, are 0.8-0.9 bytes per
-# cell for n = 16..20: 0.9, 4.3 and 18.6 MB at n = 16, 18 and 20,
+# _minima_by_row, with its table built beforehand, are 0.62-0.66 bytes
+# per cell for n = 16..20: 0.7, 3.2 and 13.9 MB at n = 16, 18 and 20,
 # against budgets of 12.8, 43.0 and 176.2 MB.  Most of it is one bit's
-# comparison, a bool per cell of half the table, or a group of far rows'
-# scan, at most as large.
+# comparison, a bool per cell of half the table; a far row's scan holds
+# two bytes per row.
 _JOIN_CELL_BYTES = 8
 _JOIN_FLOOR_BYTES = 4 << 20
 
@@ -400,37 +403,33 @@ def _row(w: int) -> tuple[int, ...]:
     return dmax_map(encode_w_to_sip(w)[0])
 
 
-def _scan_rows(cols: "np.ndarray", idx: "np.ndarray") -> list[tuple[int, "np.ndarray"]]:
-    """For each row of ``idx``, in order, its minimum distance to every
-    other row of the table ``cols``, stored by column, with the
-    ascending indices of the rows that attain it.  The rows are scanned
-    a group at a time: each column's comparison with the group's values
-    is added into one ``uint8`` distance per row and table row, so the
-    distances and one comparison take at most half a table."""
+def _scan_row(cols: "np.ndarray", row: int) -> tuple[int, "np.ndarray"]:
+    """The minimum distance from row ``row`` of the table ``cols``,
+    stored by column, to every other row, with the ascending indices of
+    the rows that attain it.  Each column's comparison with the row's
+    value, made in one reused buffer, is added into one ``uint8``
+    distance per table row, so the scan holds two bytes per row besides
+    the table."""
     import numpy as np
 
-    width, count = cols.shape
-    group = max(1, width // 4)
-    found = []
-    for start in range(0, len(idx), group):
-        rows = np.asarray(idx[start : start + group])
-        dist = np.zeros((len(rows), count), dtype=np.uint8)
-        for column in cols:
-            dist += column != column[rows, None]
-        dist[np.arange(len(rows)), rows] = np.iinfo(dist.dtype).max  # never the row itself
-        for row_dist, best in zip(dist, dist.min(axis=1).tolist()):
-            found.append((best, np.flatnonzero(row_dist == best)))
-    return found
+    dist = np.zeros(cols.shape[1], dtype=np.uint8)
+    differs = np.empty(cols.shape[1], dtype=bool)
+    for column in cols:
+        np.not_equal(column, column[row], out=differs)
+        dist += differs.view(np.uint8)
+    dist[row] = np.iinfo(dist.dtype).max  # never the row itself
+    best = int(dist.min())
+    return best, np.flatnonzero(dist == best)
 
 
 def minvm_oracle(w: int, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
     """Brute-force minimum distance from ``w`` to any other same-length
     watermark, with the full ascending list of minimizers: the rows
-    :func:`_scan_rows` finds, each plus ``2^(n-1)``."""
+    :func:`_scan_row` finds, each plus ``2^(n-1)``."""
     n = require_watermark(w)
     _require_within_cap(n, cap)
     lo = 1 << (n - 1)
-    [(best, nearest)] = _scan_rows(_encoded_range(n).T, [w - lo])
+    best, nearest = _scan_row(_encoded_range(n).T, w - lo)
     return best, tuple(lo + i for i in nearest.tolist())
 
 
@@ -543,8 +542,8 @@ def _minima_by_row(n: int) -> _LengthMinima:
     watermarks differ in two or more bits are at least 4 apart (the
     lemma below).  So a row whose minimum lies within the radius gets it,
     and its whole nearest set, from its ``n - 1`` flips; the rows with no
-    flip within the radius are measured against every row, together
-    (:func:`_scan_rows`).  For bit ``j``, ``cols.reshape(width, -1, 2,
+    flip within the radius are each measured against every row
+    (:func:`_scan_row`).  For bit ``j``, ``cols.reshape(width, -1, 2,
     2^j)`` puts each row whose bit ``j`` is 0 beside its flip in every
     column, so both halves are views of the table stored by column: no
     gather and no sort, and each pair is compared once, ``(n - 1)
@@ -601,8 +600,8 @@ def _minima_by_row(n: int) -> _LengthMinima:
         np.minimum(least, dist, out=least)
     scanned = np.flatnonzero(minvm > _JOIN_RADIUS)  # no flip within the radius
     far = {}
-    for row, (best, nearest) in zip(scanned.tolist(), _scan_rows(cols, scanned)):
-        minvm[row], far[row] = best, nearest
+    for row in scanned.tolist():
+        minvm[row], far[row] = _scan_row(cols, row)
     flips[scanned] = 0
     return _LengthMinima(minvm, flips, far, (n - 1) * count // 2, len(scanned))
 
@@ -613,10 +612,13 @@ def strong_watermark_of(n: int) -> int:
     It is ``1 1^ell 0 1^r 1`` with ``ell = r`` for odd ``n`` and
     ``r = ell + 1`` for even ``n``: all ones but bit ``r + 1 = n // 2``.
     Raises :class:`ResourceBoundError`, before it builds any integer of
-    ``n`` bits, when their bytes would not fit in :func:`_memory`.
+    ``n`` bits, when the bytes of the three that its construction holds
+    at once would not fit in :func:`_memory`.
     """
     _require_closed_form_range(n)
-    (limit, memory), needs = _memory(), (n + 7) // 8
+    # 2^n - 1, 2^(n // 2) and their xor; tracemalloc peaks at 2.67 times
+    # (n + 7) // 8 bytes for n = 8e5..8e6
+    (limit, memory), needs = _memory(), 3 * ((n + 7) // 8)
     if needs > limit:
         raise ResourceBoundError(f"the {n}-bit watermark needs {needs} bytes, more than {memory}")
     return ((1 << n) - 1) ^ (1 << (n // 2))

@@ -1,0 +1,29 @@
+"""Reference brute-force row scan for the differential tests.
+
+The table scan as it ran before it scanned one row at a time: it
+measured a group of rows at once, ``width // 4`` of them, each column's
+comparison added into a 2-D ``uint8`` distance.
+"""
+
+
+def _scan_rows(cols: "np.ndarray", idx: "np.ndarray") -> list[tuple[int, "np.ndarray"]]:
+    """For each row of ``idx``, in order, its minimum distance to every
+    other row of the table ``cols``, stored by column, with the
+    ascending indices of the rows that attain it.  The rows are scanned
+    a group at a time: each column's comparison with the group's values
+    is added into one ``uint8`` distance per row and table row, so the
+    distances and one comparison take at most half a table."""
+    import numpy as np
+
+    width, count = cols.shape
+    group = max(1, width // 4)
+    found = []
+    for start in range(0, len(idx), group):
+        rows = np.asarray(idx[start : start + group])
+        dist = np.zeros((len(rows), count), dtype=np.uint8)
+        for column in cols:
+            dist += column != column[rows, None]
+        dist[np.arange(len(rows)), rows] = np.iinfo(dist.dtype).max  # never the row itself
+        for row_dist, best in zip(dist, dist.min(axis=1).tolist()):
+            found.append((best, np.flatnonzero(row_dist == best)))
+    return found

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_scan
 from reference_sweep import join_minima
 
 import wrpg.resilience as resilience
@@ -432,23 +433,26 @@ def test_the_gate_tools_agree_with_the_library():
     assert int(total.replace(",", "")) == sum(int(count.replace(",", "")) for _, count in modules)
 
 
-# The join's work and the sha256 of tools/join_digest.py for n = 17..20,
+# The join's work and the sha256 of tools/join_digest.py for n = 17..22,
 # the digests as the join computed them when each group was first joined
-# on its own, the pairs as the single-flip join counts them.
-JOIN_WORK_TO_20 = {
+# on its own, the pairs as the single-flip join counts them; those at 21
+# and 22 as it computed them while it scanned its far rows in groups.
+JOIN_WORK_TO_22 = {
     17: (524288, 32, "55b2cb03ae98bda0ef71716cd22e06b718ecbd9ea77c04aa1c57274fc64a7899"),
     18: (1114112, 34, "252ab6abed1733f131314ee76db9f5f36ff5faf14daa6f39c527bccf6eae1487"),
     19: (2359296, 36, "b0e0fafad390010e369a33c247cf0454e7b4e69a8373f9fdf84d6266d724ad51"),
     20: (4980736, 38, "b2b3f66f76f9866c045c1a6ba5dc097f8f7980105d083eeb5c00dc49664b79fe"),
+    21: (10485760, 40, "c898aebfdaddd5d8decef926a5437bc3945b029b240d6cca93697b676ba8a4ec"),
+    22: (22020096, 42, "bd6af335ba5b1a9ae0042514d06bc32c5aaa3bc24bbc1e390935bed56ba10365"),
 }
 
 
 @pytest.mark.slow
-def test_the_join_is_pinned_to_20_bits():
-    # 5-6 s on 2 vCPUs, with a 21 MB table and a 29 MB join peak at n = 20;
-    # run with `pytest -m slow`
+def test_the_join_is_pinned_to_22_bits():
+    # about 11 s on 2 vCPUs, with a 94 MB table and a 60 MB join peak at
+    # n = 22; run with `pytest -m slow`
     join_digest = load_join_digest()
-    for n, (pairs, scans, sha) in JOIN_WORK_TO_20.items():
+    for n, (pairs, scans, sha) in JOIN_WORK_TO_22.items():
         resilience._encoded_range(n)  # the table is counted on its own
         tracemalloc.start()
         try:
@@ -459,6 +463,22 @@ def test_the_join_is_pinned_to_20_bits():
         assert (minima.pairs_verified, minima.full_scans) == (pairs, scans), n
         assert join_digest.digest(minima) == sha, n
         assert peak <= resilience._join_bytes(n), n
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_the_row_scan_equals_the_grouped_scan(n):
+    """The one-row scan gives the grouped scan's ``(minVM, nearest)``: on
+    every row up to 10 bits, and on the far rows and 64 seeded rows from
+    11 to 16."""
+    cols = resilience._encoded_range(n).T
+    rows = list(range(cols.shape[1]))
+    if n > 10:
+        sample = random.Random(20181227 + n).sample(rows, 64)
+        rows = sorted(resilience._minima_by_row(n).far) + sample
+    for row, (best, nearest) in zip(rows, reference_scan._scan_rows(cols, np.array(rows))):
+        found, found_nearest = resilience._scan_row(cols, row)
+        assert found == best, (n, row)
+        assert np.array_equal(found_nearest, nearest), (n, row)
 
 
 def test_oracle_enforces_the_enumeration_cap():
@@ -546,16 +566,36 @@ def test_strong_watermark_rejects_small_bit_lengths():
 
 def test_strong_watermark_refuses_sizes_beyond_memory(monkeypatch):
     # refused before any n-bit integer is built, so no case allocates
-    with pytest.raises(ResourceBoundError, match=f"needs {2**67} bytes"):
+    with pytest.raises(ResourceBoundError, match=f"needs {3 * 2**67} bytes"):
         strong_watermark_of(2**70)
     monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 1 << 20)
     with pytest.raises(ResourceBoundError) as refused:
         strong_watermark_of(2**23 + 8)
     assert str(refused.value) == (
-        f"the {2**23 + 8}-bit watermark needs {2**20 + 1} bytes, "
+        f"the {2**23 + 8}-bit watermark needs {3 * (2**20 + 1)} bytes, "
         f"more than the {2**20} bytes of physical memory"
     )
     assert strong_watermark_of(64) == ((1 << 64) - 1) ^ (1 << 32)
+
+
+def test_strong_watermark_admits_only_what_its_construction_fits(monkeypatch):
+    # at 1 MiB, the longest watermark admitted is built within it, and the
+    # next bit-length is refused before any integer of its length is built
+    limit = 1 << 20
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: limit)
+    longest = 8 * (limit // 3)
+    tracemalloc.start()
+    try:
+        assert strong_watermark_of(longest).bit_length() == longest
+        admitted_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ResourceBoundError):
+            strong_watermark_of(longest + 1)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert admitted_peak <= limit
+    assert refused_peak < longest // 8 // 16
 
 
 @pytest.mark.parametrize(
