@@ -145,7 +145,9 @@ def _table(sweeps, table_format: str):
     ``_TABLE_CHUNK`` rows per chunk, straight from the arrays.  Each
     distinct shape and agreement fills in a template once, from the
     report of the row that represents the shape, and one ``%`` over a
-    chunk's templates writes each row's own cells.  The bytes are those
+    chunk's templates writes each row's own cells.  Each chunk's template
+    keys and cells are built for that chunk alone, so besides the sweep
+    only the nearest counts take an array per row.  The bytes are those
     of one record per report, ``REPORT_COLUMNS`` to its values, written
     by ``csv.writer`` or ``json.dumps(..., indent=2)``."""
     import numpy as np
@@ -167,15 +169,15 @@ def _table(sweeps, table_format: str):
                 )
                 for agree in agrees
             ]
-        lo, minima = 1 << (sweep.n - 1), sweep.minima
-        key = sweep.shape_id.astype(np.intp) * len(agrees)
-        if sweep.agreement is not None:
-            key += sweep.agreement
-        cells = np.stack((np.arange(lo, 2 * lo), minima.minvm, minima.nearest_count), axis=1)
+        lo, minvm, count = 1 << (sweep.n - 1), sweep.minima.minvm, sweep.minima.nearest_count
         for start in range(0, lo, _TABLE_CHUNK):
             part = slice(start, start + _TABLE_CHUNK)
-            text = between.join([templates[k] for k in key[part].tolist()])
-            yield sep + text % tuple(cells[part].ravel().tolist())
+            key = sweep.shape_id[part].astype(np.intp) * len(agrees)
+            if sweep.agreement is not None:
+                key += sweep.agreement[part]
+            cells = np.stack((lo + start + np.arange(len(key)), minvm[part], count[part]), axis=1)
+            text = between.join([templates[k] for k in key.tolist()])
+            yield sep + text % tuple(cells.ravel().tolist())
             sep = between
     yield foot
 

@@ -20,14 +20,15 @@ watermark.  The table the join reads (:func:`_encoded_range`) is stored
 by column, one contiguous run of cells per column, and built straight
 from the bits by the rules proved in :func:`_domination_maps`: a running
 minimum over the bits gives the columns after ``n``, and one pass over
-the bits, counting ones, the columns up to ``n``.  Two codewords within
+the bits, counting ones, the columns up to ``n``.  Every distance
+between rows of the table is measured by one kernel
+(:func:`_distances`): a column at a time, each column's comparison added
+into one ``uint8`` distance per compared pair.  Two codewords within
 the join's radius differ in exactly one bit, as proved in the join, so
 it compares each row with its ``n - 1`` single-bit flips, each bit the
-two halves of a view of the columns, and sums the distances over the
-columns.  The few rows with no flip within the radius get the one
-brute-force scan (:func:`_scan_row`): one row against every row, a
-column at a time, each column's comparison added into one ``uint8``
-distance per row.  ``minvm_oracle`` is that scan alone, and the test
+two halves of a view of the columns.  The few rows with no flip within
+the radius get the one brute-force scan (:func:`_scan_row`): one row
+against every row.  ``minvm_oracle`` is that scan alone, and the test
 reference for the join and for ``analyze_watermark``.  That gets one
 watermark's oracle from an exact search over its bits
 (:func:`_nearest_by_search`): the distance measured to ``w``'s nearest
@@ -45,7 +46,7 @@ and the rows of each shape in the CLI's tables, which write every
 other cell straight from the arrays.  The witness check applies each
 flip of the Case1 shape to its rows, ``_BUILD_CHUNK`` table rows at a
 time, and measures every witness of the other shapes, one row each, in
-one more array comparison; each compares two gathers of the columns.
+one more call of the kernel; each measures two gathers of the columns.
 
 Each watermark is classified (:func:`~wrpg.sip.bit_shape`) once, by a
 public entry point: ``analyze_watermark`` classifies ``w`` and a sweep
@@ -182,17 +183,22 @@ def _physical_memory_bytes() -> int | None:
 # The table is built _BUILD_CHUNK rows at a time.  While a chunk is
 # built, its working arrays hold at most _BUILD_CELL_BYTES bytes per
 # cell of the chunk (tracemalloc peaks of 8.6-8.8 bytes per cell for
-# n = 16..20, where chunks are 2^12 rows).
+# n = 16..20, where chunks are 2^12 rows).  A table is built to be
+# joined, which counts its own budget, or to have a row scanned, so
+# _build_bytes also covers one row scan, at 3 bytes per table row
+# (tracemalloc peaks of 2.00-2.09 bytes per row for n = 14..20); the
+# scan needs more than a chunk from n = 22.
 _BUILD_CHUNK = 1 << 12
 _BUILD_CELL_BYTES = 32
 
 # A join's working arrays hold at most _JOIN_CELL_BYTES bytes per cell
 # of its table plus _JOIN_FLOOR_BYTES.  The tracemalloc peaks of
-# _minima_by_row, with its table built beforehand, are 0.62-0.66 bytes
-# per cell for n = 16..20: 0.7, 3.2 and 13.9 MB at n = 16, 18 and 20,
-# against budgets of 12.8, 43.0 and 176.2 MB.  Most of it is one bit's
-# comparison, a bool per cell of half the table; a far row's scan holds
-# two bytes per row.
+# _minima_by_row, with its table built beforehand, are 0.21-0.29 bytes
+# per cell for n = 16..23: 0.23, 1.4, 5.5 and 22.1 MB at n = 16, 18, 20
+# and 22, against budgets of 12.8, 43.0, 176.2 and 759.2 MB.  Most of it
+# is the flip masks and one bit's update of them, an integer or a bool
+# per row each; one bit's distances hold two bytes per pair, and a far
+# row's scan two bytes per row.
 _JOIN_CELL_BYTES = 8
 _JOIN_FLOOR_BYTES = 4 << 20
 
@@ -202,7 +208,7 @@ def _table_bytes(n: int) -> int:
 
 
 def _build_bytes(n: int) -> int:
-    return min(1 << (n - 1), _BUILD_CHUNK) * (2 * n + 1) * _BUILD_CELL_BYTES
+    return max(min(1 << (n - 1), _BUILD_CHUNK) * (2 * n + 1) * _BUILD_CELL_BYTES, 3 << (n - 1))
 
 
 def _join_bytes(n: int) -> int:
@@ -248,8 +254,9 @@ def _encoded_range(n: int) -> "np.ndarray":
     every bit-length whose table could be allocated.  Only the latest
     table is kept: a miss releases the held one before it builds.
     Raises :class:`ResourceBoundError` before allocating when the table
-    and one chunk's working arrays would not fit in physical memory, and
-    when the allocator refuses the table.
+    and the working arrays of one chunk, or of one row scan, would not
+    fit in physical memory (:func:`_build_bytes`), and when the
+    allocator refuses the table.
     """
     import numpy as np
 
@@ -403,20 +410,33 @@ def _row(w: int) -> tuple[int, ...]:
     return dmax_map(encode_w_to_sip(w)[0])
 
 
+def _distances(left: "np.ndarray", right: "np.ndarray") -> "np.ndarray":
+    """The number of columns in which ``left`` and ``right`` differ, at
+    each position of ``left.shape[1:]``: the oracle's one distance
+    kernel.  ``left`` and ``right`` are the same columns of two sets of
+    rows, stored by column, or ``right`` is one row's value per column.
+    Each column's comparison, made in one reused buffer, is added into
+    one ``uint8`` distance, so it holds two bytes per compared pair
+    besides its inputs."""
+    import numpy as np
+
+    dist = np.zeros(left.shape[1:], dtype=np.uint8)
+    differs = np.empty(left.shape[1:], dtype=bool)
+    for a, b in zip(left, right):
+        dist += np.not_equal(a, b, out=differs).view(np.uint8)
+    return dist
+
+
 def _scan_row(cols: "np.ndarray", row: int) -> tuple[int, "np.ndarray"]:
     """The minimum distance from row ``row`` of the table ``cols``,
     stored by column, to every other row, with the ascending indices of
-    the rows that attain it.  Each column's comparison with the row's
-    value, made in one reused buffer, is added into one ``uint8``
-    distance per table row, so the scan holds two bytes per row besides
-    the table."""
+    the rows that attain it.  :func:`_distances` measures the row's
+    value in each column against every row, so the scan holds two bytes
+    per table row besides the table: the distance and the kernel's
+    buffer, then the distance and the rows at its minimum."""
     import numpy as np
 
-    dist = np.zeros(cols.shape[1], dtype=np.uint8)
-    differs = np.empty(cols.shape[1], dtype=bool)
-    for column in cols:
-        np.not_equal(column, column[row], out=differs)
-        dist += differs.view(np.uint8)
+    dist = _distances(cols, cols[:, row])
     dist[row] = np.iinfo(dist.dtype).max  # never the row itself
     best = int(dist.min())
     return best, np.flatnonzero(dist == best)
@@ -547,11 +567,11 @@ def _minima_by_row(n: int) -> _LengthMinima:
     2^j)`` puts each row whose bit ``j`` is 0 beside its flip in every
     column, so both halves are views of the table stored by column: no
     gather and no sort, and each pair is compared once, ``(n - 1)
-    2^(n-2)`` pairs in all, its distance summed over the columns.  Each
-    row keeps a running minimum over its flips and a mask of the flips at
-    it; a row whose minimum stays above the radius is far, and its scan
-    replaces its mask.  By the lemma, the flips at a near row's least
-    distance are its whole nearest set.
+    2^(n-2)`` pairs in all, by :func:`_distances`, which holds two bytes
+    per pair of the bit.  Each row keeps a running minimum over its flips
+    and a mask of the flips at it; a row whose minimum stays above the
+    radius is far, and its scan replaces its mask.  By the lemma, the
+    flips at a near row's least distance are its whole nearest set.
 
     Notation, rules (R1) and (R2), and the bound ``d >= h + |k' - k|``
     as in :func:`_domination_maps`: ``h`` is the number of bits in which
@@ -593,7 +613,7 @@ def _minima_by_row(n: int) -> _LengthMinima:
     flips = np.zeros(count, dtype=np.min_scalar_type(1 << (n - 2)))
     for j in range(n - 1):
         pairs = cols.reshape(width, -1, 2, 1 << j)
-        dist = (pairs[:, :, 0] != pairs[:, :, 1]).sum(axis=0, dtype=np.uint8)[:, None]
+        dist = _distances(pairs[:, :, 0], pairs[:, :, 1])[:, None]
         least, mask = minvm.reshape(-1, 2, 1 << j), flips.reshape(-1, 2, 1 << j)
         np.copyto(mask, 0, where=dist < least)
         mask |= np.left_shift(dist <= least, j, dtype=flips.dtype)
@@ -792,7 +812,8 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
     :func:`_shape_ids`), so each of its flips is measured on its rows
     ``_BUILD_CHUNK`` rows of the table at a time; every other shape's one
     row is its representative, and the witnesses of all those rows are
-    measured in one comparison (:func:`_pair_distances`)."""
+    measured in one call of :func:`_distances`, as are each chunk's; both
+    compare two gathers of the columns."""
     import numpy as np
 
     n, cols = sweep.n, _encoded_range(sweep.n).T
@@ -810,11 +831,11 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
             else:
                 for start in range(0, cols.shape[1], _BUILD_CHUNK):
                     part = start + np.flatnonzero(case1[start : start + _BUILD_CHUNK])
-                    measured = _pair_distances(cols, part, part ^ flip)
+                    measured = _distances(cols.take(part, axis=1), cols.take(part ^ flip, axis=1))
                     for i in np.flatnonzero(measured != cost)[:1].tolist():
                         failures.append((int(part[i]), k, flip, rule, cost, int(measured[i])))
-    at = np.array([(row, flip) for row, _, flip, _, _ in single], dtype=np.int64).reshape(-1, 2)
-    measured = _pair_distances(cols, at[:, 0], at[:, 0] ^ at[:, 1]).tolist()
+    at = np.array([(row, row ^ flip) for row, _, flip, _, _ in single], dtype=np.int64)
+    measured = _distances(*(cols.take(rows, axis=1) for rows in at.reshape(-1, 2).T)).tolist()
     failures += [
         (row, k, flip, rule, cost, d)
         for (row, k, flip, rule, cost), d in zip(single, measured)
@@ -827,15 +848,6 @@ def _check_witnesses(sweep: _LengthSweep) -> None:
         if measured is not None:
             problem = f"predicted cost {cost} but measures {measured}"
         raise InternalInvariantError(f"witness {w ^ flip} of w={w} ({rule}) {problem}")
-
-
-def _pair_distances(cols: "np.ndarray", a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    """The distance between rows ``a[i]`` and ``b[i]`` of the table
-    ``cols``, stored by column, for each ``i``: two gathers of the
-    columns, compared."""
-    import numpy as np
-
-    return (cols.take(a, axis=1) != cols.take(b, axis=1)).sum(axis=0, dtype=np.uint8)
 
 
 def _survey(n: int, cap: int) -> _LengthSweep:

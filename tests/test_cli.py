@@ -3,12 +3,13 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 import reference_sweep
 
 import wrpg.resilience as resilience
-from wrpg.cli import main
+from wrpg.cli import _table, main
 from wrpg.errors import (
     GraphFormatError,
     InternalInvariantError,
@@ -611,3 +612,17 @@ def test_codec_commands_never_load_numpy(workdir, subprocess_env):
     # the 14-bit strong watermark falls back to the table, whose build
     # loads numpy, and with it whatever numpy imports
     assert analyze[0] == 0 and "numpy" in analyze[1]
+
+
+def test_a_table_builds_its_cells_a_chunk_at_a_time():
+    # besides the sweep, only the nearest counts (8 bytes) take an array
+    # per row; the template keys and the cells are built per chunk
+    sweep = resilience._sweep_length(18)
+    tracemalloc.start()
+    try:
+        for _ in _table([sweep], "csv"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 17

@@ -465,6 +465,66 @@ def test_the_join_is_pinned_to_22_bits():
         assert peak <= resilience._join_bytes(n), n
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_distance_kernel_equals_the_join_comparison(n):
+    # both halves of every bit, in either order, against the join's
+    # whole-half comparison
+    cols = resilience._encoded_range(n).T
+    for j in range(n - 1):
+        pairs = cols.reshape(cols.shape[0], -1, 2, 1 << j)
+        expected = reference_scan._join_distances(cols, j)
+        for left, right in ((0, 1), (1, 0)):
+            found = resilience._distances(pairs[:, :, left], pairs[:, :, right])
+            assert found.dtype == np.uint8, (n, j)
+            assert np.array_equal(found, expected), (n, j, left)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_the_distance_kernel_equals_the_pair_distances(n):
+    cols = resilience._encoded_range(n).T
+    rng = np.random.default_rng(20181227 + n)
+    a, b = rng.integers(0, cols.shape[1], size=(2, 512))
+    found = resilience._distances(cols[:, a], cols[:, b])
+    assert found.dtype == np.uint8
+    assert np.array_equal(found, reference_scan._pair_distances(cols, a, b))
+
+
+def test_the_join_holds_less_than_a_third_of_its_table():
+    # one bit's distances hold two bytes per pair, not a bool per cell of
+    # half the table
+    resilience._encoded_range(16)  # the table is counted on its own
+    tracemalloc.start()
+    try:
+        resilience._minima_by_row(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < resilience._table_bytes(16) // 3
+
+
+def test_the_oracle_budget_covers_its_row_scan(monkeypatch):
+    # with 16-row build chunks the 16-bit row scan needs more than a chunk;
+    # at the least memory minvm_oracle admits, it stays within it
+    w = strong_watermark_of(16)
+    monkeypatch.setattr(resilience, "_BUILD_CHUNK", 16)
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: 0)
+    with pytest.raises(ResourceBoundError) as refused:
+        minvm_oracle(w, cap=16)
+    limit = sum(map(int, re.findall(r"(\d+) bytes", str(refused.value))[:2]))
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: limit - 1)
+    with pytest.raises(ResourceBoundError):
+        minvm_oracle(w, cap=16)
+    monkeypatch.setattr(resilience, "_physical_memory_bytes", lambda: limit)
+    tracemalloc.start()
+    try:
+        found = minvm_oracle(w, cap=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found[0] == minvm_closed_form(w)
+    assert peak <= limit
+
+
 @pytest.mark.parametrize("n", range(2, 17))
 def test_the_row_scan_equals_the_grouped_scan(n):
     """The one-row scan gives the grouped scan's ``(minVM, nearest)``: on
